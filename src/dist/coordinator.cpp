@@ -128,15 +128,15 @@ void Coordinator::broadcast(MsgKind kind, const void* payload, std::size_t size)
   }
 }
 
-bool Coordinator::recv_from_rank(int r, Frame& f) {
+bool Coordinator::recv_from_rank(int r, ipc::Frame& f) {
   const auto ri = static_cast<std::size_t>(r);
   for (;;) {
-    const RecvStatus st = to_rank_[ri].recv_frame_deadline(f, cfg_.rank_deadline_ms);
-    if (st == RecvStatus::kOk) {
+    const ipc::RecvStatus st = to_rank_[ri].recv_frame_deadline(f, cfg_.rank_deadline_ms);
+    if (st == ipc::RecvStatus::kOk) {
       if (f.kind == static_cast<std::uint32_t>(MsgKind::kHeartbeat)) continue;
       return true;
     }
-    if (st == RecvStatus::kClosed) {
+    if (st == ipc::RecvStatus::kClosed) {
       on_rank_death(r);
       return false;
     }
@@ -178,7 +178,7 @@ void Coordinator::fold_report(int rank, const std::vector<std::uint8_t>& payload
 void Coordinator::collect_reports() {
   for (int r = 0; r < cfg_.ranks; ++r) {
     if (alive_[static_cast<std::size_t>(r)] == 0) continue;
-    Frame f;
+    ipc::Frame f;
     if (!recv_from_rank(r, f)) continue;
     if (f.kind != static_cast<std::uint32_t>(MsgKind::kReport)) {
       throw std::runtime_error("dist: expected a rank report frame");
@@ -217,7 +217,7 @@ void Coordinator::run(Tick nticks, const core::InputSchedule* inputs, core::Spik
       const Tick t = now_ + i;
       for (int r = 0; r < cfg_.ranks; ++r) {
         if (alive_[static_cast<std::size_t>(r)] == 0) continue;
-        Frame f;
+        ipc::Frame f;
         if (!recv_from_rank(r, f)) continue;
         if (f.kind != static_cast<std::uint32_t>(MsgKind::kTickSpikes)) {
           throw std::runtime_error("dist: expected a tick-spikes frame");
@@ -288,7 +288,7 @@ void Coordinator::save_checkpoint(std::ostream& os) const {
   bool have_base = false;
   for (int r = 0; r < cfg_.ranks; ++r) {
     if (alive_[static_cast<std::size_t>(r)] == 0) continue;
-    Frame f;
+    ipc::Frame f;
     if (!self->recv_from_rank(r, f)) continue;
     if (f.kind != static_cast<std::uint32_t>(MsgKind::kBlob)) {
       throw std::runtime_error("dist: expected a checkpoint blob frame");

@@ -103,14 +103,14 @@ class Coordinator final : public core::Simulator {
   /// death, and on deadline expiry kills the hung rank, absorbs its death,
   /// and throws RankTimeout. With rank_deadline_ms == 0 this is exactly the
   /// old blocking recv_frame.
-  bool recv_from_rank(int r, Frame& f);
+  bool recv_from_rank(int r, ipc::Frame& f);
 
   const core::Network& net_;
   Config cfg_;
   core::Tick now_ = 0;
   core::KernelStats stats_;
   std::vector<compass::CoreRange> shards_;
-  std::vector<Channel> to_rank_;
+  std::vector<ipc::Channel> to_rank_;
   std::vector<int> pids_;
   std::vector<std::uint8_t> alive_;
   /// Ranks SIGSTOPped by fail_rank(hang): the destructor must SIGKILL them

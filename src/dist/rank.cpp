@@ -61,7 +61,7 @@ Totals capture(const RankState& st) {
   return t;
 }
 
-bool send_report(RankState& st, Channel& parent) {
+bool send_report(RankState& st, ipc::Channel& parent) {
   const Totals cur = capture(st);
   const Totals& b = st.base;
   RankReport r;
@@ -113,13 +113,14 @@ void fire_tick_hooks(const Config& cfg, int rank, int phase, core::Tick t) {
 /// One run segment: nticks of dist_tick + peer exchange (+ per-tick spike
 /// frames to the coordinator when recording). Returns false when the parent
 /// channel died (the rank should exit).
-bool run_segment(RankState& st, const Config& cfg, int rank, Channel& parent, PeerPump& pump,
-                 core::Tick nticks, bool record, const core::InputSchedule& inputs) {
+bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& parent,
+                 ipc::PeerPump& pump, core::Tick nticks, bool record,
+                 const core::InputSchedule& inputs) {
   compass::Simulator& sim = *st.sim;
   const int R = cfg.ranks;
   const core::Tick start = sim.now();
-  std::vector<Frame> out(static_cast<std::size_t>(R));
-  std::vector<Frame> in;
+  std::vector<ipc::Frame> out(static_cast<std::size_t>(R));
+  std::vector<ipc::Frame> in;
   std::vector<int> newly_dead;
   std::vector<core::Spike> spikes;
   std::vector<std::uint8_t> tick_payload;
@@ -150,7 +151,7 @@ bool run_segment(RankState& st, const Config& cfg, int rank, Channel& parent, Pe
     for (int r = 0; r < R; ++r) {
       if (r == rank || st.peer_alive[static_cast<std::size_t>(r)] == 0) continue;
       const std::vector<WordDelivery>& words = sim.dist_outgoing(r);
-      Frame& f = out[static_cast<std::size_t>(r)];
+      ipc::Frame& f = out[static_cast<std::size_t>(r)];
       f.kind = static_cast<std::uint32_t>(MsgKind::kSpikeBatch);
       f.payload.clear();
       put_pod(f.payload, static_cast<std::int64_t>(t));
@@ -164,7 +165,7 @@ bool run_segment(RankState& st, const Config& cfg, int rank, Channel& parent, Pe
     }
     pump.round(out, in, newly_dead, pump_deadline_ms);
     for (int r = 0; r < R; ++r) {
-      Frame& f = in[static_cast<std::size_t>(r)];
+      ipc::Frame& f = in[static_cast<std::size_t>(r)];
       if (f.kind != static_cast<std::uint32_t>(MsgKind::kSpikeBatch)) continue;
       std::size_t off = 0;
       const auto peer_tick = get_pod<std::int64_t>(f.payload, off);
@@ -224,11 +225,11 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
   st.peer_alive.assign(static_cast<std::size_t>(cfg.ranks), 1);
   st.base = capture(st);
 
-  Channel& parent = spawned.to_parent;
-  PeerPump pump(&spawned.peers, rank);
+  ipc::Channel& parent = spawned.to_parent;
+  ipc::PeerPump pump(&spawned.peers, rank);
 
   int saves_seen = 0;
-  Frame cmd;
+  ipc::Frame cmd;
   while (parent.recv_frame(cmd)) {
     switch (static_cast<MsgKind>(cmd.kind)) {
       case MsgKind::kRun: {

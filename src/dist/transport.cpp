@@ -48,7 +48,7 @@ Spawned spawn_ranks(int nranks) {
       for (std::size_t x = 0; x < n; ++x) {
         ::close(parent_pair[x][0]);
         if (x == r) {
-          s.to_parent = Channel(parent_pair[x][1]);
+          s.to_parent = ipc::Channel(parent_pair[x][1]);
         } else {
           ::close(parent_pair[x][1]);
         }
@@ -56,10 +56,10 @@ Spawned spawn_ranks(int nranks) {
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
           if (i == r) {
-            s.peers[j] = Channel(peer_pair[i][j][0]);
+            s.peers[j] = ipc::Channel(peer_pair[i][j][0]);
             ::close(peer_pair[i][j][1]);
           } else if (j == r) {
-            s.peers[i] = Channel(peer_pair[i][j][1]);
+            s.peers[i] = ipc::Channel(peer_pair[i][j][1]);
             ::close(peer_pair[i][j][0]);
           } else {
             ::close(peer_pair[i][j][0]);

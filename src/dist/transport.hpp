@@ -1,14 +1,12 @@
 // Local multi-process transport for the sharded backend.
 //
-// The generic framed-message primitives (Frame, Channel, the poll-driven
-// PeerPump, and the POD wire helpers) live in the shared src/ipc/ layer —
-// promoted there so nsc_serve and future transports reuse them — and are
-// aliased back into nsc::dist here so the rank/coordinator/supervisor code
-// and its callers are unchanged. What remains in this translation unit is
-// the dist-specific part: the full socketpair mesh + fork of the rank
-// fleet, and the rank-process lifecycle helpers (together with src/ipc this
-// is the only home of raw process/socket syscalls — lint_invariants
-// INV005/INV006).
+// The generic framed-message primitives (ipc::Frame, ipc::Channel, the
+// poll-driven ipc::PeerPump, and the POD wire helpers) live in the shared
+// src/ipc/ layer, which nsc_serve uses too; the dist code names them there.
+// What remains in this translation unit is the dist-specific part: the full
+// socketpair mesh + fork of the rank fleet, and the rank-process lifecycle
+// helpers (together with src/ipc this is the only home of raw
+// process/socket syscalls — lint_invariants INV005/INV006).
 //
 // Topology: spawn_ranks(N) builds a full mesh — one Unix-domain stream
 // socketpair per (coordinator, rank) pair and one per unordered rank pair —
@@ -26,11 +24,6 @@
 
 namespace nsc::dist {
 
-using Frame = ipc::Frame;
-using Channel = ipc::Channel;
-using RecvStatus = ipc::RecvStatus;
-using PeerPump = ipc::PeerPump;
-
 /// Thrown when a rank stays silent past its configured I/O deadline
 /// (Config::rank_deadline_ms): the rank was declared hung (not merely slow —
 /// heartbeats would have refreshed its last-seen clock), its process has
@@ -47,10 +40,10 @@ class RankTimeout : public std::runtime_error {
 ///   rank process (rank >= 0): `to_parent` + `peers[r]` (self entry dead).
 struct Spawned {
   int rank = -1;
-  std::vector<Channel> to_rank;  ///< Coordinator side.
-  std::vector<int> pids;         ///< Coordinator side.
-  Channel to_parent;             ///< Rank side.
-  std::vector<Channel> peers;    ///< Rank side, indexed by peer rank.
+  std::vector<ipc::Channel> to_rank;  ///< Coordinator side.
+  std::vector<int> pids;              ///< Coordinator side.
+  ipc::Channel to_parent;             ///< Rank side.
+  std::vector<ipc::Channel> peers;    ///< Rank side, indexed by peer rank.
 
   [[nodiscard]] bool is_child() const noexcept { return rank >= 0; }
 };

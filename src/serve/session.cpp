@@ -54,7 +54,6 @@ void Session::inject(const std::vector<core::InputSpike>& events) {
     }
   }
   for (const core::InputSpike& e : events) inputs_.add(e);
-  inputs_dirty_ = !events.empty() || inputs_dirty_;
   counters_.inputs_injected += events.size();
 }
 
@@ -65,10 +64,9 @@ void Session::tick(core::Tick nticks, bool record) {
                      "serve: tick count exceeds per-command bound (chunk the run)");
   }
   if (nticks == 0) return;
-  if (inputs_dirty_) {
-    inputs_.finalize();  // Re-sorts absolute-tick events; past ones stay consumed.
-    inputs_dirty_ = false;
-  }
+  // Re-sorts absolute-tick events after new injections (past ones stay
+  // consumed); returns at once when nothing was injected since the last tick.
+  inputs_.finalize();
   QueueSink sink(&queue_, limits_.max_queued_spikes, &counters_);
   sim_->run(nticks, inputs_.empty() ? nullptr : &inputs_, record ? &sink : nullptr);
   counters_.ticks_served += static_cast<std::uint64_t>(nticks);

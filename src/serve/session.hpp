@@ -95,7 +95,6 @@ class Session {
   compass::Config cfg_;
   std::unique_ptr<compass::Simulator> sim_;
   core::InputSchedule inputs_;
-  bool inputs_dirty_ = false;  ///< add() since the last finalize().
   std::deque<core::Spike> queue_;
   SessionLimits limits_;
   SessionCounters counters_;

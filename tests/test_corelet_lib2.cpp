@@ -3,6 +3,9 @@
 // all executed on the TrueNorth backend.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "src/core/spike_sink.hpp"
 #include "src/analysis/lint.hpp"
 #include "src/corelet/lib2.hpp"
@@ -127,12 +130,18 @@ TEST(RateScaler, FullRateIsDeterministicIdentity) {
   EXPECT_EQ(spikes.size(), 100u);
 }
 
+// gtest names each case after its parameter printed as raw bytes, so every
+// byte of GateCase is part of a test name. `tag` fills what would otherwise be
+// uninitialised padding, which made the names change from run to run; its
+// values keep the names the cases are already listed under.
 struct GateCase {
   GateKind kind;
   bool a, b;
   bool want;
+  std::uint8_t tag;
   int latency;  ///< Output tick relative to input tick.
 };
+static_assert(sizeof(GateCase) == 12 && offsetof(GateCase, tag) == 7);
 
 class GateTruth : public ::testing::TestWithParam<GateCase> {};
 
@@ -156,20 +165,20 @@ TEST_P(GateTruth, MatchesTruthTable) {
 
 INSTANTIATE_TEST_SUITE_P(
     TruthTables, GateTruth,
-    ::testing::Values(GateCase{GateKind::kOr, false, false, false, 0},
-                      GateCase{GateKind::kOr, true, false, true, 0},
-                      GateCase{GateKind::kOr, false, true, true, 0},
-                      GateCase{GateKind::kOr, true, true, true, 0},
-                      GateCase{GateKind::kAnd, true, false, false, 0},
-                      GateCase{GateKind::kAnd, false, true, false, 0},
-                      GateCase{GateKind::kAnd, true, true, true, 0},
+    ::testing::Values(GateCase{GateKind::kOr, false, false, false, 0, 0},
+                      GateCase{GateKind::kOr, true, false, true, 0, 0},
+                      GateCase{GateKind::kOr, false, true, true, 0xEF, 0},
+                      GateCase{GateKind::kOr, true, true, true, 0, 0},
+                      GateCase{GateKind::kAnd, true, false, false, 0, 0},
+                      GateCase{GateKind::kAnd, false, true, false, 0x1B, 0},
+                      GateCase{GateKind::kAnd, true, true, true, 0xCA, 0},
                       // NOT: b is the clock; output = clock AND !a.
-                      GateCase{GateKind::kNot, false, true, true, 0},
-                      GateCase{GateKind::kNot, true, true, false, 0},
-                      GateCase{GateKind::kXor, true, false, true, 1},
-                      GateCase{GateKind::kXor, false, true, true, 1},
-                      GateCase{GateKind::kXor, true, true, false, 1},
-                      GateCase{GateKind::kXor, false, false, false, 1}));
+                      GateCase{GateKind::kNot, false, true, true, 0, 0},
+                      GateCase{GateKind::kNot, true, true, false, 0, 0},
+                      GateCase{GateKind::kXor, true, false, true, 0, 1},
+                      GateCase{GateKind::kXor, false, true, true, 0, 1},
+                      GateCase{GateKind::kXor, true, true, false, 0, 1},
+                      GateCase{GateKind::kXor, false, false, false, 0, 1}));
 
 TEST(Gates, AndIgnoresStaggeredInputs) {
   const Corelet c = make_gate(GateKind::kAnd);

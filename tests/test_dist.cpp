@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/aer.hpp"
@@ -608,6 +609,109 @@ TEST(DistFault, FirstRankDeathDoesNotStallRecordStream) {
   EXPECT_EQ(coord.live_ranks(), 1);
   EXPECT_FALSE(coord.rank_alive(0));
   EXPECT_TRUE(coord.rank_alive(1));
+}
+
+// ---------------------------------------------------------------------------
+// Coalesced traffic pin: remote spikes travel as (core, slot, word) OR-masks,
+// so the message counts and byte volumes are a pure function of the spike
+// stream. They are pinned exactly on two golden fixtures, and every shard's
+// wire batch must be strictly ascending in (core, slot, word) with no empty
+// word — the canonical order that makes identical runs send identical bytes.
+// ---------------------------------------------------------------------------
+
+constexpr Tick kTrafficTicks = 60;
+
+struct TrafficPin {
+  const char* net;
+  int ranks;    ///< 0 = single-process compass.
+  int threads;  ///< Compass threads, or threads per rank.
+  std::uint64_t messages, message_bytes, events_delivered, dist_messages, dist_bytes;
+};
+
+TEST(DistTraffic, CoalescedCountsMatchPinnedValues) {
+  const TrafficPin pins[] = {
+      {"golden_recurrent_r200_k256.nsc", 0, 2, 119, 14912, 9226, 0, 0},
+      {"golden_recurrent_r200_k256.nsc", 0, 3, 357, 27696, 9226, 0, 0},
+      {"golden_recurrent_r200_k256.nsc", 2, 1, 119, 14912, 9226, 120, 15872},
+      {"golden_recurrent_r200_k256.nsc", 2, 2, 358, 28240, 9226, 120, 15872},
+      {"golden_recurrent_r200_k256.nsc", 3, 1, 357, 27696, 9226, 360, 30576},
+      {"golden_recurrent_r200_k256.nsc", 3, 2, 477, 34368, 9226, 360, 30576},
+      {"golden_recurrent_r20_k128.nsc", 0, 2, 111, 6656, 1119, 0, 0},
+      {"golden_recurrent_r20_k128.nsc", 0, 3, 273, 9088, 1119, 0, 0},
+      {"golden_recurrent_r20_k128.nsc", 2, 1, 111, 6656, 1119, 120, 7616},
+      {"golden_recurrent_r20_k128.nsc", 2, 2, 254, 10272, 1119, 120, 7616},
+      {"golden_recurrent_r20_k128.nsc", 3, 1, 273, 9088, 1119, 360, 11968},
+      {"golden_recurrent_r20_k128.nsc", 3, 2, 341, 10784, 1119, 360, 11968},
+  };
+  const std::string dir = std::string(NSC_TEST_DATA_DIR) + "/";
+  for (const TrafficPin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.net) + " ranks=" + std::to_string(pin.ranks) +
+                 " threads=" + std::to_string(pin.threads));
+    const Network net = core::load_network(dir + pin.net);
+    const auto check = [&](const obs::Registry& m) {
+      EXPECT_EQ(testsup::counter_value(m, "messages"), pin.messages);
+      EXPECT_EQ(testsup::counter_value(m, "message_bytes"), pin.message_bytes);
+      EXPECT_EQ(testsup::counter_value(m, "events_delivered"), pin.events_delivered);
+      EXPECT_EQ(testsup::counter_value(m, "dist.messages"), pin.dist_messages);
+      EXPECT_EQ(testsup::counter_value(m, "dist.bytes"), pin.dist_bytes);
+    };
+    if (pin.ranks == 0) {
+      compass::Simulator sim(net, {.threads = pin.threads});
+      sim.run(kTrafficTicks, nullptr, nullptr);
+      check(sim.metrics());
+    } else {
+      dist::Coordinator coord(net, {.ranks = pin.ranks, .threads_per_rank = pin.threads});
+      coord.run(kTrafficTicks, nullptr, nullptr);
+      check(coord.metrics());
+    }
+  }
+}
+
+TEST(DistTraffic, ShardBatchesAreAscendingAndCoalesced) {
+  // In-process shards exchange their batches directly, so the wire order is
+  // checked on every batch of a real run, not on a synthetic one.
+  using WordDelivery = compass::Simulator::WordDelivery;
+  const auto key = [](const WordDelivery& w) { return std::tuple(w.core, w.slot, w.word); };
+  const std::string dir = std::string(NSC_TEST_DATA_DIR) + "/";
+  for (const char* file : {"golden_recurrent_r200_k256.nsc", "golden_recurrent_r20_k128.nsc"}) {
+    const Network net = core::load_network(dir + file);
+    const std::vector<Spike> want = testsup::run_compass(net, nullptr, kTrafficTicks, 1).spikes;
+    for (const int ranks : {2, 3}) {
+      SCOPED_TRACE(std::string(file) + " ranks=" + std::to_string(ranks));
+      std::vector<std::unique_ptr<compass::Simulator>> shards;
+      for (int r = 0; r < ranks; ++r) {
+        shards.push_back(std::make_unique<compass::Simulator>(
+            net, compass::Config{.threads = 2, .rank = r, .ranks = ranks}));
+      }
+      std::vector<Spike> got;
+      std::size_t words_sent = 0;
+      for (Tick t = 0; t < kTrafficTicks; ++t) {
+        for (auto& shard : shards) shard->dist_tick(t, nullptr, true);
+        for (int r = 0; r < ranks; ++r) {
+          for (int dst = 0; dst < ranks; ++dst) {
+            if (dst == r) continue;
+            const std::vector<WordDelivery>& batch =
+                shards[static_cast<std::size_t>(r)]->dist_outgoing(dst);
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+              ASSERT_NE(batch[i].bits, 0u) << "rank " << r << " -> " << dst << " tick " << t;
+              if (i > 0) {
+                ASSERT_LT(key(batch[i - 1]), key(batch[i]))
+                    << "rank " << r << " -> " << dst << " tick " << t;
+              }
+            }
+            words_sent += batch.size();
+            shards[static_cast<std::size_t>(dst)]->dist_deliver(batch.data(), batch.size());
+          }
+        }
+        for (auto& shard : shards) {
+          shard->dist_clear_outgoing();
+          shard->dist_drain_spikes(got);
+        }
+      }
+      EXPECT_GT(words_sent, 0u);
+      expect_spikes_equal(want, got, "in-process shards vs compass");
+    }
+  }
 }
 
 }  // namespace
