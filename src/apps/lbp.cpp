@@ -26,11 +26,11 @@ LbpApp make_lbp_app(const AppConfig& cfg) {
     const PatchGrid::Patch pa = grid.patch(k);
     const int l1 = net.add_core();
     patch_core[static_cast<std::size_t>(k)] = l1;
-    core::CoreSpec& spec = net.core(l1);
-    configure_pair_axons(spec, pa.pixels());
-
     // Layer 2: the histogram core for this patch.
     const int l2 = net.add_core();
+    // add_core() may reallocate the core vector: take references after it.
+    core::CoreSpec& spec = net.core(l1);
+    configure_pair_axons(spec, pa.pixels());
     core::CoreSpec& hist = net.core(l2);
 
     // Layer 1: comparison neurons on a stride-2 grid of interior centers.

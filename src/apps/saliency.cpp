@@ -22,10 +22,10 @@ SaliencyCorelet build_saliency_corelet(int img_w, int img_h) {
     const PatchGrid::Patch pa = s.grid.patch(k);
     const int l1 = s.net.add_core();
     s.patch_core.push_back(l1);
+    const int l2 = s.net.add_core();
+    // add_core() may reallocate the core vector: take references after it.
     core::CoreSpec& spec = s.net.core(l1);
     configure_pair_axons(spec, pa.pixels());
-
-    const int l2 = s.net.add_core();
     core::CoreSpec& combine = s.net.core(l2);
 
     // Layer 1: one DoG neuron per (center, scale); both scales share the

@@ -157,7 +157,7 @@ void Supervisor::run(Tick nticks, const core::InputSchedule* inputs, core::Spike
   if (nticks <= 0) return;
   const Tick target = coord_->now() + nticks;
   while (coord_->now() < target) {
-    if (scfg_.policy != Policy::kRecover || exhausted_) {
+    if (exhausted_) {
       // Plain degrade path: no imaging, no buffering; a hang still surfaces
       // as RankTimeout (when a deadline is configured) rather than a wedge.
       coord_->run(target - coord_->now(), inputs, sink);

@@ -5,21 +5,20 @@
 // `recovery_interval` ticks it stitches a shadow checkpoint (an ordinary
 // in-memory NSCK image, taken only while every rank is alive) and journals
 // the input-spike window from the image tick on. When a rank dies (EOF) or
-// is declared hung (RankTimeout from the deadline layer), policy decides:
-//
-//   kDegrade — today's behavior: a completed-but-degraded segment flushes
-//     as-is (the dead shard's cores fail, its spikes drop and are counted);
-//     a mid-segment hang still surfaces as RankTimeout, never a wedge.
-//   kRecover — tear the whole rank fleet down, respawn it (full-mesh
-//     channels cannot be rebuilt around one survivor without fd passing, so
-//     resurrection is fleet-granular), restore the recovery image, replay
-//     the journaled inputs, and resume. Output spikes buffer per segment
-//     and only ticks >= the committed watermark reach the user sink, so the
-//     replayed prefix is never double-emitted and the recovered trace is
-//     spike-for-spike identical to a fault-free run.
+// is declared hung (RankTimeout from the deadline layer), the supervisor
+// tears the whole rank fleet down, respawns it (full-mesh channels cannot be
+// rebuilt around one survivor without fd passing, so resurrection is
+// fleet-granular), restores the recovery image, replays the journaled
+// inputs, and resumes. Output spikes buffer per segment and only ticks >=
+// the committed watermark reach the user sink, so the replayed prefix is
+// never double-emitted and the recovered trace is spike-for-spike identical
+// to a fault-free run.
 //
 // Respawns draw from a bounded budget with exponential backoff; exhausting
-// it (or failing with no valid image) permanently falls back to kDegrade.
+// it (or failing with no valid image) permanently degrades to the plain
+// Coordinator: a completed-but-degraded segment flushes as-is (the dead
+// shard's cores fail, its spikes drop and are counted), and a mid-segment
+// hang surfaces as RankTimeout, never a wedge.
 #pragma once
 
 #include <memory>
@@ -33,13 +32,7 @@
 
 namespace nsc::dist {
 
-enum class Policy {
-  kDegrade,  ///< Absorb rank loss into fault accounting (no resurrection).
-  kRecover,  ///< Respawn + rollback + replay, budget permitting.
-};
-
 struct SupervisorConfig {
-  Policy policy = Policy::kRecover;
   core::Tick recovery_interval = 32;  ///< K: shadow-checkpoint period (ticks).
   int max_respawns = 3;               ///< Fleet-respawn budget for the whole run.
   int backoff_base_ms = 5;            ///< Backoff before respawn i is base << i ms.
@@ -77,7 +70,7 @@ class Supervisor final : public core::Simulator {
 
   [[nodiscard]] const Coordinator& coordinator() const noexcept { return *coord_; }
   [[nodiscard]] int respawns_done() const noexcept { return respawns_done_; }
-  /// True once the respawn budget ran out (policy degraded permanently).
+  /// True once the respawn budget ran out (degraded permanently).
   [[nodiscard]] bool exhausted() const noexcept { return exhausted_; }
 
  private:

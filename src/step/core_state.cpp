@@ -1,0 +1,202 @@
+#include "src/step/core_state.hpp"
+
+#include <algorithm>
+#include <stdexcept>
+
+namespace nsc::step {
+
+using core::CoreId;
+using core::kCoreSize;
+using core::NeuronParams;
+
+Instance::Instance(const CoreState& st)
+    : v(static_cast<std::size_t>(st.ncores) * kCoreSize),
+      delay(static_cast<std::size_t>(st.ncores) * kDelaySlots),
+      profile(static_cast<std::size_t>(st.ncores)),
+      fast(static_cast<std::size_t>(st.ncores), 0) {
+  for (CoreId c = 0; c < st.ncores; ++c) {
+    for (int j = 0; j < kCoreSize; ++j) {
+      v[static_cast<std::size_t>(c) * kCoreSize + static_cast<std::size_t>(j)] =
+          st.net.core(c).neuron[j].init_v;
+    }
+  }
+}
+
+CoreState::CoreState(const core::Network& net)
+    : net(net),
+      ncores(static_cast<CoreId>(net.geom.total_cores())),
+      kern(&kernels::select_kernels()),
+      prng(net.seed),
+      faults(net.geom.total_cores()),
+      link_faults(net.geom.chips()),
+      enabled(static_cast<std::size_t>(ncores)),
+      enabled_count(static_cast<std::size_t>(ncores), 0),
+      always_active(static_cast<std::size_t>(ncores), 0),
+      target_ok(static_cast<std::size_t>(ncores) * kCoreSize, 0),
+      target_faulted(static_cast<std::size_t>(ncores) * kCoreSize, 0),
+      hot_ok(static_cast<std::size_t>(ncores), 0),
+      hot(static_cast<std::size_t>(ncores) * core::kHotStride, 0),
+      wtab(static_cast<std::size_t>(ncores) * core::kWeightTabPerCore, 0),
+      fire(static_cast<std::size_t>(ncores) * kCoreSize, core::HotFire{}),
+      rowpop(static_cast<std::size_t>(ncores) * kCoreSize, 0) {
+  for (CoreId c = 0; c < ncores; ++c) {
+    if (net.core(c).disabled) faults.mark(c);
+  }
+  derive_enabled();
+  derive_targets();
+  for (CoreId c = 0; c < ncores; ++c) {
+    const core::CoreSpec& spec = net.core(c);
+    if (faults.is_faulted(c) || !core::core_hot_eligible(spec, enabled_count[c])) continue;
+    hot_ok[c] = 1;
+    core::fill_hot_core(spec, &hot[static_cast<std::size_t>(c) * core::kHotStride],
+                        &wtab[static_cast<std::size_t>(c) * core::kWeightTabPerCore]);
+    core::fill_hot_fire(spec, &fire[static_cast<std::size_t>(c) * kCoreSize]);
+    for (int i = 0; i < kCoreSize; ++i) {
+      rowpop[static_cast<std::size_t>(c) * kCoreSize + static_cast<std::size_t>(i)] =
+          static_cast<std::uint16_t>(spec.crossbar.row(i).count());
+    }
+  }
+}
+
+void CoreState::derive_enabled() {
+  for (CoreId c = 0; c < ncores; ++c) {
+    enabled[c] = util::BitRow256{};
+    enabled_count[c] = 0;
+    always_active[c] = 0;
+    if (faults.is_faulted(c)) continue;
+    const core::CoreSpec& spec = net.core(c);
+    for (int j = 0; j < kCoreSize; ++j) {
+      if (!spec.neuron[j].enabled) continue;
+      enabled[c].set(j);
+      ++enabled_count[c];
+    }
+    always_active[c] = core::core_always_active(spec, enabled[c]) ? 1 : 0;
+  }
+}
+
+void CoreState::derive_targets() {
+  std::fill(target_ok.begin(), target_ok.end(), 0);
+  std::fill(target_faulted.begin(), target_faulted.end(), 0);
+  for (CoreId c = 0; c < ncores; ++c) {
+    if (faults.is_faulted(c)) continue;
+    const core::CoreSpec& spec = net.core(c);
+    enabled[c].for_each_set([&](int j) {
+      const NeuronParams& p = spec.neuron[j];
+      if (!p.target.valid() || p.target.core >= ncores) return;
+      // Aimed at a statically disabled core: dropped since construction and
+      // not fault-counted.
+      if (net.core(p.target.core).disabled) return;
+      const std::size_t nid = static_cast<std::size_t>(c) * kCoreSize + static_cast<std::size_t>(j);
+      if (faults.is_faulted(p.target.core) ||
+          (runtime_faults &&
+           !noc::route_with_faults(net.geom, faults, link_faults, c, p.target.core).reachable)) {
+        target_faulted[nid] = 1;  // Killed or disconnected mid-run.
+        return;
+      }
+      target_ok[nid] = 1;
+    });
+  }
+}
+
+Live CoreState::live(CoreId begin, CoreId end) const {
+  Live out;
+  for (CoreId c = begin; c < end; ++c) {
+    if (faults.is_faulted(c)) continue;
+    ++out.cores;
+    out.enabled += enabled_count[c];
+  }
+  return out;
+}
+
+void CoreState::seed(Instance& inst, core::ActiveSet& active, CoreId begin, CoreId end) const {
+  active = core::ActiveSet(begin, end, kDelaySlots);
+  for (CoreId c = begin; c < end; ++c) {
+    // Density profiles restart at the hybrid default: perf-only derived
+    // state, so a restored run re-learns its strategies without perturbing
+    // output.
+    inst.profile[c] = kernels::CoreProfile{};
+    inst.fast[c] = 0;
+    util::BitRow256* rows = &inst.slot(c, 0);
+    if (faults.is_faulted(c)) {
+      for (int s = 0; s < kDelaySlots; ++s) rows[s].reset();
+      continue;
+    }
+    const core::CoreSpec& spec = net.core(c);
+    const std::int32_t* vrow = &inst.v[static_cast<std::size_t>(c) * kCoreSize];
+    // A hand-edited snapshot with wild potentials demotes the core to the
+    // exact generic loop, for this instance only.
+    inst.fast[c] = hot_ok[c] != 0 && core::hot_potentials_safe(vrow) ? 1 : 0;
+    if (always_active[c] != 0 || core::core_restless_at(spec, enabled[c], vrow)) {
+      active.set_restless(c, true);
+    }
+    for (int s = 0; s < kDelaySlots; ++s) {
+      if (rows[s].any()) active.mark_event(c, s);
+    }
+  }
+}
+
+void CoreState::check(const core::Snapshot& snap) const {
+  if (snap.geom != net.geom) {
+    throw std::runtime_error("checkpoint geometry does not match this simulator's network");
+  }
+  if (snap.net_seed != net.seed) {
+    throw std::runtime_error("checkpoint was taken against a different network (seed mismatch)");
+  }
+  const auto n = static_cast<std::size_t>(ncores);
+  if (snap.v.size() != n * kCoreSize ||
+      snap.delay_words.size() != n * kDelaySlots * util::BitRow256::kWords) {
+    throw std::runtime_error("checkpoint state size does not match the network");
+  }
+}
+
+void CoreState::save(const Instance& inst, core::Snapshot& snap) const {
+  snap.geom = net.geom;
+  snap.net_seed = net.seed;
+  snap.dead_cores.resize(static_cast<std::size_t>(ncores), 0);
+  for (CoreId c = 0; c < ncores; ++c) snap.dead_cores[c] = faults.is_faulted(c) ? 1 : 0;
+  const int chips = net.geom.chips();
+  snap.dead_links.resize(static_cast<std::size_t>(chips) * 4, 0);
+  for (int ch = 0; ch < chips; ++ch) {
+    for (int d = 0; d < 4; ++d) {
+      snap.dead_links[static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d)] =
+          link_faults.blocked(ch, d) ? 1 : 0;
+    }
+  }
+  snap.v = inst.v;
+  snap.delay_words.reserve(inst.delay.size() * util::BitRow256::kWords);
+  for (const util::BitRow256& row : inst.delay) {
+    for (int w = 0; w < util::BitRow256::kWords; ++w) snap.delay_words.push_back(row.word(w));
+  }
+}
+
+void CoreState::restore(const core::Snapshot& snap, Instance& inst) {
+  check(snap);
+  inst.v = snap.v;
+  for (std::size_t i = 0; i < inst.delay.size(); ++i) {
+    for (int w = 0; w < util::BitRow256::kWords; ++w) {
+      inst.delay[i].set_word(
+          w, snap.delay_words[i * util::BitRow256::kWords + static_cast<std::size_t>(w)]);
+    }
+  }
+  faults = noc::FaultSet(static_cast<int>(ncores));
+  link_faults = noc::LinkFaultSet(net.geom.chips());
+  runtime_faults = false;
+  for (CoreId c = 0; c < ncores; ++c) {
+    const bool static_dead = net.core(c).disabled != 0;
+    const bool dead = snap.dead_cores[c] != 0 || static_dead;
+    if (dead) faults.mark(c);
+    if (dead && !static_dead) runtime_faults = true;
+  }
+  for (int ch = 0; ch < net.geom.chips(); ++ch) {
+    for (int d = 0; d < 4; ++d) {
+      if (snap.dead_links[static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d)] != 0) {
+        link_faults.mark(ch, d);
+        runtime_faults = true;
+      }
+    }
+  }
+  derive_enabled();
+  derive_targets();
+}
+
+}  // namespace nsc::step

@@ -333,14 +333,14 @@ TEST(DistFault, RankDeathMidCampaignDegradesInsteadOfHanging) {
 
 // ---------------------------------------------------------------------------
 // Self-healing supervisor (docs/DISTRIBUTED.md, "Failure model and
-// recovery"). Under Policy::kRecover a rank death or hang must be invisible
+// recovery"). Under the supervisor a rank death or hang must be invisible
 // in the output: respawn the fleet, restore the shadow checkpoint, replay
 // the journaled inputs, and produce a trace spike-for-spike identical to a
 // fault-free run. Backoff is zeroed throughout to keep the suite fast.
 // ---------------------------------------------------------------------------
 
-constexpr dist::SupervisorConfig kFastRecover{dist::Policy::kRecover, /*recovery_interval=*/4,
-                                              /*max_respawns=*/3, /*backoff_base_ms=*/0};
+constexpr dist::SupervisorConfig kFastRecover{/*recovery_interval=*/4, /*max_respawns=*/3,
+                                              /*backoff_base_ms=*/0};
 
 TEST(DistRecover, KillAtEveryPhaseRecoversExactly) {
   // The suicide hook fires pre-compute (0), post-compute (1), or
@@ -481,8 +481,9 @@ TEST(DistRecover, DeathDuringImageCollectionKeepsPreviousImage) {
 }
 
 TEST(DistRecover, DegradePolicyMatchesUnsupervisedCoordinator) {
-  // Policy::kDegrade must be byte-identical to running the Coordinator
-  // directly: no imaging, no buffering, no respawn.
+  // With no respawn budget the supervisor degrades on the first rank loss,
+  // and its spike stream must be identical to running the Coordinator
+  // directly.
   const Network net = testsup::hard_network();
   const InputSchedule in = testsup::hard_inputs(net, 30);
   dist::Config cfg;
@@ -495,22 +496,23 @@ TEST(DistRecover, DegradePolicyMatchesUnsupervisedCoordinator) {
   coord.run(30, &in, &want);
 
   dist::SupervisorConfig scfg = kFastRecover;
-  scfg.policy = dist::Policy::kDegrade;
+  scfg.max_respawns = 0;
   dist::Supervisor sup(net, cfg, scfg);
   VectorSink got;
   sup.run(30, &in, &got);
-  expect_spikes_equal(want.spikes(), got.spikes(), "degrade policy vs coordinator");
+  expect_spikes_equal(want.spikes(), got.spikes(), "degraded supervisor vs coordinator");
   EXPECT_EQ(sup.respawns_done(), 0);
   EXPECT_EQ(sup.coordinator().live_ranks(), 1);
+  EXPECT_TRUE(sup.exhausted());
 }
 
 TEST(DistRecover, InvalidSupervisorConfigRejected) {
   const Network net = testsup::hard_network();
-  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {dist::Policy::kRecover, 0, 3, 5}),
+  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {0, 3, 5}),
                std::invalid_argument);
-  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {dist::Policy::kRecover, 32, -1, 5}),
+  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {32, -1, 5}),
                std::invalid_argument);
-  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {dist::Policy::kRecover, 32, 3, -1}),
+  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {32, 3, -1}),
                std::invalid_argument);
 }
 

@@ -289,6 +289,24 @@ TEST(ReplicaBatch, AggregateStatsAndCounters) {
             static_cast<std::uint64_t>(kReplicas) * kTicks * 4);
 }
 
+/// Inputs aimed past the last core are ignored, as tn and compass ignore
+/// them, instead of indexing past the per-core tables.
+TEST(ReplicaBatch, InputsPastLastCoreAreIgnored) {
+  constexpr Tick kTicks = 30;
+  const netgen::RandomNetSpec spec = fuzz_spec(3);
+  const Network net = netgen::make_random(spec);
+  InputSchedule in = netgen::make_poisson_inputs(spec, net, kTicks);
+  const auto ncores = static_cast<core::CoreId>(net.geom.total_cores());
+  in.add(2, ncores, 7);
+  in.add(5, 0xFFFFFF00U, 1);
+  in.finalize();
+  const RunResult solo = testsup::run_compass(net, &in, kTicks, 1);
+  BatchSimulator batch(net, {.replicas = 2, .threads = 2});
+  const std::vector<RunResult> got = run_batch(batch, {&in, &in}, kTicks);
+  expect_identical(solo, got[0], "replica 0");
+  expect_identical(solo, got[1], "replica 1");
+}
+
 /// Replica indices are validated on the checkpoint interface.
 TEST(ReplicaBatch, BadReplicaIndexThrows) {
   netgen::RecurrentSpec spec;

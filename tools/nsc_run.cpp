@@ -510,7 +510,6 @@ int main(int argc, char** argv) {
       nsc::core::Simulator* simp = nullptr;
       if (supervise) {
         nsc::dist::SupervisorConfig scfg;
-        scfg.policy = nsc::dist::Policy::kRecover;
         scfg.recovery_interval = static_cast<nsc::core::Tick>(recovery_interval);
         scfg.max_respawns = respawn_budget;
         sup = std::make_unique<nsc::dist::Supervisor>(net, dcfg, scfg);
