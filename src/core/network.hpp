@@ -133,7 +133,9 @@ class Simulator {
 
   /// Restores state saved by save_checkpoint (either backend's). Throws
   /// std::runtime_error on malformed input or a geometry/seed mismatch with
-  /// this simulator's network.
+  /// this simulator's network. The whole blob is read and checked against
+  /// the network before the first write, so a rejected blob leaves the
+  /// simulator exactly as it was and a restore may load into a live one.
   virtual void load_checkpoint(std::istream& is);
 
   /// Fails core `c` from the next processed tick on: it produces nothing,

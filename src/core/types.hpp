@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace nsc::core {
 
@@ -40,6 +41,16 @@ using CoreId = std::uint32_t;
 /// Sentinel for "no core".
 inline constexpr CoreId kInvalidCore = 0xFFFFFFFFu;
 
+/// a * b computed in 64 bits and clamped to int's range, so the counts of a
+/// hostile geometry saturate instead of overflowing (loaders then refuse them
+/// as implausible); products that fit in int are unchanged.
+[[nodiscard]] constexpr int saturating_mul(int a, int b) noexcept {
+  const std::int64_t p = static_cast<std::int64_t>(a) * b;
+  if (p > std::numeric_limits<int>::max()) return std::numeric_limits<int>::max();
+  if (p < std::numeric_limits<int>::min()) return std::numeric_limits<int>::min();
+  return static_cast<int>(p);
+}
+
 /// Grid shape of the system. Cores are indexed chip-major, then row-major
 /// within a chip; `GlobalXY` gives seamless global mesh coordinates (chips
 /// tile edge-to-edge, paper Fig. 3(c)).
@@ -49,10 +60,16 @@ struct Geometry {
   int cores_x = 64;       ///< Cores along x within one chip (64 in TrueNorth).
   int cores_y = 64;       ///< Cores along y within one chip.
 
-  [[nodiscard]] constexpr int cores_per_chip() const noexcept { return cores_x * cores_y; }
-  [[nodiscard]] constexpr int chips() const noexcept { return chips_x * chips_y; }
-  [[nodiscard]] constexpr int total_cores() const noexcept { return chips() * cores_per_chip(); }
-  [[nodiscard]] constexpr int neurons() const noexcept { return total_cores() * kCoreSize; }
+  [[nodiscard]] constexpr int cores_per_chip() const noexcept {
+    return saturating_mul(cores_x, cores_y);
+  }
+  [[nodiscard]] constexpr int chips() const noexcept { return saturating_mul(chips_x, chips_y); }
+  [[nodiscard]] constexpr int total_cores() const noexcept {
+    return saturating_mul(chips(), cores_per_chip());
+  }
+  [[nodiscard]] constexpr int neurons() const noexcept {
+    return saturating_mul(total_cores(), kCoreSize);
+  }
 
   /// Chip index (0..chips) containing `c`.
   [[nodiscard]] constexpr int chip_of(CoreId c) const noexcept {

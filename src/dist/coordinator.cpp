@@ -9,6 +9,7 @@
 #include "src/core/input_schedule.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/dist/protocol.hpp"
+#include "src/ipc/byte_stream.hpp"
 #include "src/util/bitrow.hpp"
 
 namespace nsc::dist {
@@ -200,10 +201,9 @@ void Coordinator::run(Tick nticks, const core::InputSchedule* inputs, core::Spik
   put_pod(payload, nevents);
   if (inputs != nullptr) {
     for (Tick i = 0; i < nticks; ++i) {
-      for (const core::InputSpike& s : inputs->at(now_ + i)) {
-        put_pod(payload, s);
-        ++nevents;
-      }
+      const std::span<const core::InputSpike> window = inputs->at(now_ + i);
+      put_pod_array(payload, window.data(), window.size());
+      nevents += static_cast<std::uint32_t>(window.size());
     }
     std::memcpy(payload.data() + nevents_off, &nevents, sizeof nevents);
   }
@@ -213,6 +213,8 @@ void Coordinator::run(Tick nticks, const core::InputSchedule* inputs, core::Spik
     // Canonical merge: shards are ascending contiguous core ranges and each
     // rank's per-tick batch is already (core, neuron)-ascending, so reading
     // the batches in rank order per tick reproduces the canonical stream.
+    // Each batch reaches the sink in one on_spike_batch call.
+    std::vector<core::Spike> spikes;
     for (Tick i = 0; i < nticks; ++i) {
       const Tick t = now_ + i;
       for (int r = 0; r < cfg_.ranks; ++r) {
@@ -227,9 +229,9 @@ void Coordinator::run(Tick nticks, const core::InputSchedule* inputs, core::Spik
         if (tick != t) throw std::runtime_error("dist: tick-spikes frame out of order");
         const auto count = get_pod<std::uint32_t>(f.payload, off);
         off += sizeof(std::uint32_t);  // padding
-        const std::vector<core::Spike> spikes =
-            get_pod_array<core::Spike>(f.payload, off, count);
-        for (const core::Spike& s : spikes) sink->on_spike(s.tick, s.core, s.neuron);
+        spikes.clear();
+        get_pod_array(f.payload, off, count, spikes);
+        sink->on_spike_batch(spikes.data(), spikes.size());
       }
       sink->on_tick_end(t);
     }
@@ -293,9 +295,7 @@ void Coordinator::save_checkpoint(std::ostream& os) const {
     if (f.kind != static_cast<std::uint32_t>(MsgKind::kBlob)) {
       throw std::runtime_error("dist: expected a checkpoint blob frame");
     }
-    std::istringstream is(
-        std::string(reinterpret_cast<const char*>(f.payload.data()), f.payload.size()),
-        std::ios::binary);
+    ipc::ByteIStream is(f.payload.data(), f.payload.size());
     core::Snapshot snap = core::load_snapshot(is);
     if (!have_base) {
       base = std::move(snap);

@@ -70,5 +70,6 @@ static_assert(sizeof(compass::Simulator::WordDelivery) == 16);
 using ipc::get_pod;
 using ipc::get_pod_array;
 using ipc::put_pod;
+using ipc::put_pod_array;
 
 }  // namespace nsc::dist

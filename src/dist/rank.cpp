@@ -9,6 +9,7 @@
 #include "src/compass/simulator.hpp"
 #include "src/core/input_schedule.hpp"
 #include "src/dist/protocol.hpp"
+#include "src/ipc/byte_stream.hpp"
 #include "src/obs/obs.hpp"
 #include "src/util/bitrow.hpp"
 
@@ -122,6 +123,7 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
   std::vector<ipc::Frame> out(static_cast<std::size_t>(R));
   std::vector<ipc::Frame> in;
   std::vector<int> newly_dead;
+  std::vector<WordDelivery> words_in;
   std::vector<core::Spike> spikes;
   std::vector<std::uint8_t> tick_payload;
   // Peer exchange gets half the coordinator's deadline: a rank stalled on a
@@ -155,7 +157,7 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       f.kind = static_cast<std::uint32_t>(MsgKind::kSpikeBatch);
       f.payload.clear();
       put_pod(f.payload, static_cast<std::int64_t>(t));
-      for (const WordDelivery& w : words) put_pod(f.payload, w);
+      put_pod_array(f.payload, words.data(), words.size());
       for (const WordDelivery& w : words) {
         batch_bits[static_cast<std::size_t>(r)] +=
             static_cast<std::uint64_t>(util::popcount64(w.bits));
@@ -171,8 +173,9 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       const auto peer_tick = get_pod<std::int64_t>(f.payload, off);
       if (peer_tick != t) throw std::runtime_error("dist: peer tick skew exceeded the window");
       const std::size_t nwords = (f.payload.size() - off) / sizeof(WordDelivery);
-      const std::vector<WordDelivery> words = get_pod_array<WordDelivery>(f.payload, off, nwords);
-      sim.dist_deliver(words.data(), words.size());
+      words_in.clear();
+      get_pod_array(f.payload, off, nwords, words_in);
+      sim.dist_deliver(words_in.data(), words_in.size());
     }
     for (const int r : newly_dead) {
       // The batch we could not hand over is lost in flight: account it like
@@ -197,7 +200,7 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       put_pod(tick_payload, static_cast<std::int64_t>(t));
       put_pod(tick_payload, static_cast<std::uint32_t>(spikes.size()));
       put_pod(tick_payload, std::uint32_t{0});
-      for (const core::Spike& s : spikes) put_pod(tick_payload, s);
+      put_pod_array(tick_payload, spikes.data(), spikes.size());
       if (!parent.send_frame(static_cast<std::uint32_t>(MsgKind::kTickSpikes),
                              tick_payload.data(), tick_payload.size())) {
         return false;
@@ -238,8 +241,8 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
         const auto record = get_pod<std::uint8_t>(cmd.payload, off);
         off += 3;  // padding
         const auto nevents = get_pod<std::uint32_t>(cmd.payload, off);
-        const std::vector<core::InputSpike> events =
-            get_pod_array<core::InputSpike>(cmd.payload, off, nevents);
+        std::vector<core::InputSpike> events;
+        get_pod_array(cmd.payload, off, nevents, events);
         core::InputSchedule inputs;
         for (const core::InputSpike& e : events) inputs.add(e);
         inputs.finalize();
@@ -278,9 +281,7 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
         break;
       }
       case MsgKind::kLoad: {
-        std::istringstream is(
-            std::string(reinterpret_cast<const char*>(cmd.payload.data()), cmd.payload.size()),
-            std::ios::binary);
+        ipc::ByteIStream is(cmd.payload.data(), cmd.payload.size());
         sim.load_checkpoint(is);
         // Peers that died stay dead across a restore: re-fail their cores in
         // case the snapshot predates the death (no-ops otherwise), then

@@ -7,6 +7,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/ipc/byte_stream.hpp"
+
 namespace nsc::dist {
 
 using core::Tick;
@@ -145,7 +147,7 @@ bool Supervisor::recover(Tick planned_end) {
   cfg_.incarnation = incarnation_;
   coord_.reset();  // Tears down (and reaps) whatever is left of the fleet.
   coord_ = std::make_unique<Coordinator>(net_, cfg_);
-  std::istringstream is(image_, std::ios::binary);
+  ipc::ByteIStream is(image_.data(), image_.size());
   coord_->load_checkpoint(is);
   *ctr_respawned_ += static_cast<std::uint64_t>(cfg_.ranks);
   *ctr_rollback_ticks_ += static_cast<std::uint64_t>(planned_end - image_tick_);

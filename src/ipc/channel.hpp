@@ -149,18 +149,29 @@ T get_pod(const std::vector<std::uint8_t>& buf, std::size_t& off) {
   return v;
 }
 
-/// Reads `n` PODs as a vector (bounds-checked as one block).
+/// Appends the raw bytes of `n` PODs to a payload buffer in one block.
 template <class T>
-std::vector<T> get_pod_array(const std::vector<std::uint8_t>& buf, std::size_t& off,
-                             std::size_t n) {
+void put_pod_array(std::vector<std::uint8_t>& buf, const T* v, std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  if (n == 0) return;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(v);
+  buf.insert(buf.end(), p, p + n * sizeof(T));
+}
+
+/// Reads `n` PODs, appending them to `out` (bounds-checked as one block
+/// before anything is copied, so a truncated payload leaves `out` as it was).
+template <class T>
+void get_pod_array(const std::vector<std::uint8_t>& buf, std::size_t& off, std::size_t n,
+                   std::vector<T>& out) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (off > buf.size() || n > (buf.size() - off) / sizeof(T)) {
     throw std::runtime_error("ipc: truncated frame payload");
   }
-  std::vector<T> v(n);
-  std::memcpy(v.data(), buf.data() + off, n * sizeof(T));
+  if (n == 0) return;
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::memcpy(out.data() + at, buf.data() + off, n * sizeof(T));
   off += n * sizeof(T);
-  return v;
 }
 
 }  // namespace nsc::ipc

@@ -90,7 +90,7 @@ void Client::inject(std::uint64_t session, const std::vector<core::InputSpike>& 
   req.count = events.size();
   payload.reserve(sizeof req + events.size() * sizeof(core::InputSpike));
   ipc::put_pod(payload, req);
-  for (const core::InputSpike& e : events) ipc::put_pod(payload, e);
+  ipc::put_pod_array(payload, events.data(), events.size());
   rpc(Cmd::kInject, payload, Cmd::kAck);
 }
 
@@ -104,9 +104,7 @@ std::uint64_t Client::read_spikes(std::uint64_t session, std::uint64_t max_spike
   const ipc::Frame reply = rpc(Cmd::kReadSpikes, payload, Cmd::kSpikesOk);
   std::size_t off = 0;
   const auto hdr = ipc::get_pod<SpikesOk>(reply.payload, off);
-  const auto spikes = ipc::get_pod_array<core::Spike>(reply.payload, off,
-                                                      static_cast<std::size_t>(hdr.count));
-  out.insert(out.end(), spikes.begin(), spikes.end());
+  ipc::get_pod_array(reply.payload, off, static_cast<std::size_t>(hdr.count), out);
   return hdr.remaining;
 }
 

@@ -6,6 +6,7 @@
 
 #include "src/analysis/lint.hpp"
 #include "src/core/network_io.hpp"
+#include "src/ipc/byte_stream.hpp"
 #include "src/obs/json_report.hpp"
 
 namespace nsc::serve {
@@ -276,8 +277,8 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
         if (!owns(cfg_, conn.sessions, req.session)) {
           throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
         }
-        const auto events = ipc::get_pod_array<core::InputSpike>(
-            frame.payload, off, static_cast<std::size_t>(req.count));
+        std::vector<core::InputSpike> events;
+        ipc::get_pod_array(frame.payload, off, static_cast<std::size_t>(req.count), events);
         Session& s = session_of(req.session);
         s.inject(events);
         metrics_.counter("serve.inputs_injected") += req.count;
@@ -302,7 +303,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
         okr.count = spikes.size();
         okr.remaining = remaining;
         ipc::put_pod(payload, okr);
-        for (const core::Spike& sp : spikes) ipc::put_pod(payload, sp);
+        ipc::put_pod_array(payload, spikes.data(), spikes.size());
         metrics_.counter("serve.spikes_streamed") += spikes.size();
         reply(conn, Cmd::kSpikesOk, payload.data(), payload.size());
         return;
@@ -324,8 +325,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
         if (!owns(cfg_, conn.sessions, req.session)) {
           throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
         }
-        std::istringstream is(std::string(
-            frame.payload.begin() + static_cast<std::ptrdiff_t>(off), frame.payload.end()));
+        ipc::ByteIStream is(frame.payload.data() + off, frame.payload.size() - off);
         session_of(req.session).restore_checkpoint(is);
         ++metrics_.counter("serve.restores");
         reply(conn, Cmd::kAck, nullptr, 0);

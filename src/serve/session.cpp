@@ -1,5 +1,6 @@
 #include "src/serve/session.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace nsc::serve {
@@ -8,23 +9,31 @@ namespace {
 
 /// Bounded queue sink: spills recorded spikes into the session queue,
 /// dropping newest past the cap so a tenant that never reads cannot grow the
-/// daemon's memory without bound.
+/// daemon's memory without bound. `head` is the queue's consumed prefix,
+/// fixed while a tick runs.
 class QueueSink final : public core::SpikeSink {
  public:
-  QueueSink(std::deque<core::Spike>* queue, std::size_t cap, SessionCounters* counters)
-      : queue_(queue), cap_(cap), counters_(counters) {}
+  QueueSink(std::vector<core::Spike>* queue, std::size_t head, std::size_t cap,
+            SessionCounters* counters)
+      : queue_(queue), head_(head), cap_(cap), counters_(counters) {}
 
   void on_spike(core::Tick tick, core::CoreId core, std::uint16_t neuron) override {
-    if (queue_->size() >= cap_) {
-      ++counters_->spikes_dropped;
-      return;
-    }
-    queue_->push_back({tick, core, neuron});
-    ++counters_->spikes_queued;
+    const core::Spike s{tick, core, neuron};
+    on_spike_batch(&s, 1);
+  }
+
+  /// Queues the first `room` spikes of the batch and drops the rest.
+  void on_spike_batch(const core::Spike* spikes, std::size_t n) override {
+    const std::size_t depth = queue_->size() - head_;
+    const std::size_t take = std::min(n, depth < cap_ ? cap_ - depth : 0);
+    queue_->insert(queue_->end(), spikes, spikes + take);
+    counters_->spikes_queued += take;
+    counters_->spikes_dropped += n - take;
   }
 
  private:
-  std::deque<core::Spike>* queue_;
+  std::vector<core::Spike>* queue_;
+  std::size_t head_;
   std::size_t cap_;
   SessionCounters* counters_;
 };
@@ -33,17 +42,17 @@ class QueueSink final : public core::SpikeSink {
 
 Session::Session(std::shared_ptr<const core::Network> net, std::string net_name, int threads,
                  SessionLimits limits)
-    : net_(std::move(net)), net_name_(std::move(net_name)), limits_(limits) {
-  cfg_.threads = threads;
-  sim_ = std::make_unique<compass::Simulator>(*net_, cfg_);
-}
+    : net_(std::move(net)),
+      net_name_(std::move(net_name)),
+      sim_(*net_, compass::Config{.threads = threads}),
+      limits_(limits) {}
 
 void Session::inject(const std::vector<core::InputSpike>& events) {
   if (inputs_.size() + events.size() > limits_.max_pending_inputs) {
     throw ServeError(ErrorCode::kLimitExceeded,
                      "serve: session input budget exceeded (max_pending_inputs)");
   }
-  const core::Tick horizon = sim_->now();
+  const core::Tick horizon = sim_.now();
   const auto ncores = static_cast<core::CoreId>(net_->geom.total_cores());
   for (const core::InputSpike& e : events) {
     if (e.tick < horizon) {
@@ -67,36 +76,42 @@ void Session::tick(core::Tick nticks, bool record) {
   // Re-sorts absolute-tick events after new injections (past ones stay
   // consumed); returns at once when nothing was injected since the last tick.
   inputs_.finalize();
-  QueueSink sink(&queue_, limits_.max_queued_spikes, &counters_);
-  sim_->run(nticks, inputs_.empty() ? nullptr : &inputs_, record ? &sink : nullptr);
+  QueueSink sink(&queue_, head_, limits_.max_queued_spikes, &counters_);
+  sim_.run(nticks, inputs_.empty() ? nullptr : &inputs_, record ? &sink : nullptr);
   counters_.ticks_served += static_cast<std::uint64_t>(nticks);
 }
 
 std::uint64_t Session::read_spikes(std::uint64_t max_spikes, std::vector<core::Spike>& out) {
-  std::uint64_t n = 0;
-  while (n < max_spikes && !queue_.empty()) {
-    out.push_back(queue_.front());
-    queue_.pop_front();
-    ++n;
+  const std::size_t n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(max_spikes, queue_depth()));
+  const auto first = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
+  out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(n));
+  head_ += n;
+  if (head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+  } else if (head_ >= queue_.size() / 2) {
+    // A partial read: move the rest down only once the consumed prefix is
+    // at least as long, so reads stay amortized linear in what they return.
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
   counters_.spikes_streamed += n;
-  return queue_.size();
+  return queue_depth();
 }
 
 void Session::save_checkpoint(std::ostream& os) {
-  sim_->save_checkpoint(os);
+  sim_.save_checkpoint(os);
   ++counters_.checkpoints;
 }
 
 void Session::restore_checkpoint(std::istream& is) {
-  auto fresh = std::make_unique<compass::Simulator>(*net_, cfg_);
   try {
-    fresh->load_checkpoint(is);
+    sim_.load_checkpoint(is);
   } catch (const std::exception& e) {
     throw ServeError(ErrorCode::kBadCheckpoint,
                      std::string("serve: checkpoint rejected: ") + e.what());
   }
-  sim_ = std::move(fresh);
   ++counters_.restores;
 }
 

@@ -12,12 +12,12 @@
 // mid-run. Two properties carry that: the simulator consumes inputs by its
 // own internal clock from an absolute-tick schedule (so re-finalizing the
 // schedule after more injections, or rewinding via restore, never replays or
-// skips an event), and restore builds a fresh simulator and swaps it in only
-// after the blob fully loads (a hostile blob can never corrupt live state).
+// skips an event), and restore loads into the resident simulator, whose
+// load_checkpoint reads and checks the whole blob before its first write (a
+// hostile blob can never corrupt live state).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -76,26 +76,28 @@ class Session {
   /// docs/SERVE.md documents the replay contract).
   void save_checkpoint(std::ostream& os);
 
-  /// Restores from a blob. Loads into a fresh simulator first and swaps on
-  /// success; on any failure throws ServeError (kBadCheckpoint) with the
-  /// live instance untouched. The output queue is preserved (spikes already
-  /// earned by the client), the input schedule is kept whole so replayed
-  /// ticks re-consume the same absolute-tick events.
+  /// Restores from a blob into the resident simulator. On any failure throws
+  /// ServeError (kBadCheckpoint) with the live instance untouched: the
+  /// simulator checks the whole blob before its first write. The output
+  /// queue is preserved (spikes already earned by the client), the input
+  /// schedule is kept whole so replayed ticks re-consume the same
+  /// absolute-tick events.
   void restore_checkpoint(std::istream& is);
 
-  [[nodiscard]] core::Tick now() const { return sim_->now(); }
-  [[nodiscard]] const core::KernelStats& stats() const { return sim_->stats(); }
+  [[nodiscard]] core::Tick now() const { return sim_.now(); }
+  [[nodiscard]] const core::KernelStats& stats() const { return sim_.stats(); }
   [[nodiscard]] const SessionCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] std::size_t queue_depth() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_depth() const noexcept { return queue_.size() - head_; }
   [[nodiscard]] const std::string& net_name() const noexcept { return net_name_; }
 
  private:
   std::shared_ptr<const core::Network> net_;
   std::string net_name_;
-  compass::Config cfg_;
-  std::unique_ptr<compass::Simulator> sim_;
+  compass::Simulator sim_;
   core::InputSchedule inputs_;
-  std::deque<core::Spike> queue_;
+  /// Output queue: spikes [head_, size) await kReadSpikes.
+  std::vector<core::Spike> queue_;
+  std::size_t head_ = 0;
   SessionLimits limits_;
   SessionCounters counters_;
 };

@@ -178,6 +178,23 @@ void CoreState::restore(const core::Snapshot& snap, Instance& inst) {
           w, snap.delay_words[i * util::BitRow256::kWords + static_cast<std::size_t>(w)]);
     }
   }
+  // The derived tables are a function of the network and the fault sets on
+  // every entry the step reads, so a snapshot with the current fault sets
+  // needs nothing re-derived. One set of entries differs: a core failed
+  // mid-run keeps its own target_ok rows, which a rebuild zeroes; no dead
+  // core is ever visited, so the step never reads them.
+  bool same_faults = true;
+  for (CoreId c = 0; c < ncores && same_faults; ++c) {
+    const bool dead = snap.dead_cores[c] != 0 || net.core(c).disabled != 0;
+    same_faults = dead == faults.is_faulted(c);
+  }
+  for (int ch = 0; ch < net.geom.chips() && same_faults; ++ch) {
+    for (int d = 0; d < 4 && same_faults; ++d) {
+      const std::size_t i = static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d);
+      same_faults = (snap.dead_links[i] != 0) == link_faults.blocked(ch, d);
+    }
+  }
+  if (same_faults) return;
   faults = noc::FaultSet(static_cast<int>(ncores));
   link_faults = noc::LinkFaultSet(net.geom.chips());
   runtime_faults = false;

@@ -120,11 +120,12 @@ class CoreState {
   /// delay ring into `snap`.
   void save(const Instance& inst, core::Snapshot& snap) const;
 
-  /// check(), then copies `snap`'s potentials and delay ring into `inst`,
-  /// rebuilds the fault sets from its dead cores and links, and re-derives
-  /// everything that depends on them. Cores dead beyond the network's static
-  /// set, or any dead link, re-activate the mid-run drop rule exactly as the
-  /// saving simulator's fail_* calls did. The caller reseeds the worklist.
+  /// check(), then copies `snap`'s potentials and delay ring into `inst`.
+  /// When its dead cores and links differ from the current fault sets, also
+  /// rebuilds the fault sets from them and re-derives everything that depends
+  /// on them. Cores dead beyond the network's static set, or any dead link,
+  /// re-activate the mid-run drop rule exactly as the saving simulator's
+  /// fail_* calls did. The caller reseeds the worklist.
   void restore(const core::Snapshot& snap, Instance& inst);
 
  private:

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "src/core/crossbar.hpp"
 #include "src/core/input_schedule.hpp"
@@ -11,6 +13,7 @@
 #include "src/core/spike_sink.hpp"
 #include "src/core/network.hpp"
 #include "src/core/network_io.hpp"
+#include "src/core/snapshot.hpp"
 #include "src/core/types.hpp"
 #include "src/analysis/lint.hpp"
 #include "src/netgen/random_net.hpp"
@@ -43,6 +46,32 @@ TEST(GeometryTest, ChipOfMatchesChipXY) {
   EXPECT_EQ(g.chip_xy(c).y, 1);
   EXPECT_EQ(g.local_xy(c).x, 1);
   EXPECT_EQ(g.local_xy(c).y, 2);
+}
+
+TEST(GeometryTest, HostileCountsSaturateInsteadOfOverflowing) {
+  // The geometry of nsc_lint_fixture's ck_bad_geometry.nsck: chips *
+  // cores_per_chip does not fit in int, so the count saturates and the
+  // checkpoint loader's plausibility bound refuses the header.
+  const Geometry bad{0x7f000000, 1, 2, 2};
+  EXPECT_GT(bad.total_cores(), 1 << 24);
+  EXPECT_EQ(bad.total_cores(), std::numeric_limits<int>::max());
+  EXPECT_EQ(bad.neurons(), std::numeric_limits<int>::max());
+  EXPECT_EQ(Geometry({0x10000, 0x10000, 1, 1}).chips(), std::numeric_limits<int>::max());
+  EXPECT_EQ(Geometry({1, 1, 0x10000, 0x10000}).cores_per_chip(), std::numeric_limits<int>::max());
+
+  std::stringstream forged;
+  const std::uint32_t magic = 0x4E53434Bu, version = 1;
+  const std::uint8_t backend = 1;
+  forged.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+  forged.write(reinterpret_cast<const char*>(&version), sizeof version);
+  forged.write(reinterpret_cast<const char*>(&backend), sizeof backend);
+  forged.write(reinterpret_cast<const char*>(&bad), sizeof bad);
+  try {
+    (void)load_snapshot(forged);
+    ADD_FAILURE() << "a hostile geometry was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("implausible geometry"), std::string::npos) << e.what();
+  }
 }
 
 TEST(CrossbarTest, SetTestCountColumns) {

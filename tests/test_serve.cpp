@@ -19,6 +19,7 @@
 // from N concurrent tenants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -163,6 +164,41 @@ ErrorCode error_code_of(const std::function<void()>& fn) {
   }
   ADD_FAILURE() << "expected a ServeError";
   return ErrorCode::kBadRequest;
+}
+
+// ---------------------------------------------------------------------------
+// POD wire helpers (src/ipc/channel.hpp).
+// ---------------------------------------------------------------------------
+
+TEST(IpcPod, ArraysMoveAsBlocksAndCheckBoundsFirst) {
+  std::vector<std::uint8_t> payload;
+  ipc::put_pod(payload, std::uint32_t{7});
+  ipc::put_pod_array(payload, static_cast<const Spike*>(nullptr), 0);
+  EXPECT_EQ(payload.size(), sizeof(std::uint32_t));
+  std::size_t off = 0;
+  EXPECT_EQ(ipc::get_pod<std::uint32_t>(payload, off), 7u);
+
+  // An empty array at the very end of a payload copies nothing, into an
+  // empty vector (whose data() may be null) as into a filled one.
+  std::vector<Spike> out;
+  ipc::get_pod_array(payload, off, 0, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(off, payload.size());
+
+  const std::vector<Spike> spikes = {{1, 2, 3}, {4, 5, 6}};
+  ipc::put_pod_array(payload, spikes.data(), spikes.size());
+  out.push_back({9, 9, 9});
+  ipc::get_pod_array(payload, off, spikes.size(), out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[1], spikes[0]);
+  EXPECT_EQ(out[2], spikes[1]);
+  EXPECT_EQ(off, payload.size());
+
+  // A count past the payload throws before anything is appended.
+  off = sizeof(std::uint32_t);
+  EXPECT_THROW(ipc::get_pod_array(payload, off, 3, out), std::runtime_error);
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(off, sizeof(std::uint32_t));
 }
 
 // ---------------------------------------------------------------------------
@@ -320,6 +356,39 @@ TEST(ServeProtocol, QueueBackpressureDropsNewest) {
   for (std::size_t i = 0; i < spikes.size(); ++i) EXPECT_EQ(spikes[i], solo[i]) << i;
 }
 
+TEST(ServeProtocol, QueueCapSplitsBatchesExactly) {
+  // compass commits one spike batch per partition per tick, so 1 thread
+  // queues one batch a tick and 3 threads three. A cap that falls between
+  // two spikes of one core and tick falls inside a batch on both: the
+  // batch's head is queued, its tail and everything after are dropped.
+  const Tick ticks = 30;
+  const std::vector<Spike> solo = solo_witness(small_net(), {}, ticks);
+  ASSERT_GT(solo.size(), 2u);
+  std::size_t cap = solo.size() / 2;
+  while (cap < solo.size() &&
+         (solo[cap - 1].tick != solo[cap].tick || solo[cap - 1].core != solo[cap].core)) {
+    ++cap;
+  }
+  ASSERT_LT(cap, solo.size());
+  for (const std::uint32_t threads : {1u, 3u}) {
+    serve::Server::Config cfg;
+    cfg.limits.max_queued_spikes = cap;
+    ServeHarness h(cfg);
+    h.add_net("net", small_net());
+    h.start();
+    Client c = h.client();
+    c.hello();
+    const std::uint64_t s = c.create("net", threads);
+    const serve::TickOk t = c.tick(s, ticks);
+    std::vector<Spike> queued;
+    c.read_all_spikes(s, queued);
+    EXPECT_EQ(t.queued, cap) << threads;
+    EXPECT_EQ(queued.size() + t.dropped_total, solo.size()) << threads;
+    ASSERT_EQ(queued.size(), cap) << threads;
+    EXPECT_TRUE(std::equal(queued.begin(), queued.end(), solo.begin())) << threads;
+  }
+}
+
 TEST(ServeProtocol, ShutdownCommandDrainsAndExits) {
   ServeHarness h;
   h.add_net("net", small_net());
@@ -463,6 +532,36 @@ TEST(ServeExactness, RestoreRejectsGarbageAndPreservesSession) {
   c.read_all_spikes(s, stream);
   testsup::expect_spikes_equal(solo, stream, "post-bad-restore stream vs solo");
   c.destroy(s);
+}
+
+TEST(ServeExactness, RestoreRejectsForeignCheckpointAndPreservesSession) {
+  // A well-formed blob of another network (same geometry, another seed)
+  // parses; the seed check must still refuse it before anything is written.
+  const Network net = small_net(23);
+  const Tick ticks = 40;
+  const std::vector<Spike> solo = solo_witness(net, {}, ticks);
+
+  ServeHarness h;
+  h.add_net("net", small_net(23));
+  h.add_net("other", small_net(24));
+  h.start();
+  Client c = h.client();
+  c.hello();
+  const std::uint64_t s = c.create("net");
+  const std::uint64_t o = c.create("other");
+  c.tick(o, 10, /*record=*/false);
+  const std::vector<std::uint8_t> foreign = c.checkpoint(o);
+
+  std::vector<Spike> stream;
+  c.tick(s, 20);
+  c.read_all_spikes(s, stream);
+  EXPECT_EQ(error_code_of([&] { c.restore(s, foreign); }), ErrorCode::kBadCheckpoint);
+
+  EXPECT_EQ(c.tick(s, 20).now, 40);
+  c.read_all_spikes(s, stream);
+  testsup::expect_spikes_equal(solo, stream, "post-foreign-restore stream vs solo");
+  c.destroy(s);
+  c.destroy(o);
 }
 
 // ---------------------------------------------------------------------------
