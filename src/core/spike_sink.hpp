@@ -9,12 +9,6 @@
 
 namespace nsc::core {
 
-/// Discards spikes (characterization runs that only need counters).
-class NullSink final : public SpikeSink {
- public:
-  void on_spike(Tick, CoreId, std::uint16_t) override {}
-};
-
 /// Records every spike; the equivalence tests compare two VectorSinks.
 class VectorSink final : public SpikeSink {
  public:
@@ -82,22 +76,6 @@ class WindowedCountSink final : public SpikeSink {
   Tick window_;
   std::vector<std::uint32_t> counts_;
   std::vector<std::vector<std::uint32_t>> windows_;
-};
-
-/// Fans one spike stream out to several sinks.
-class TeeSink final : public SpikeSink {
- public:
-  explicit TeeSink(std::vector<SpikeSink*> sinks) : sinks_(std::move(sinks)) {}
-
-  void on_spike(Tick tick, CoreId core, std::uint16_t neuron) override {
-    for (auto* s : sinks_) s->on_spike(tick, core, neuron);
-  }
-  void on_tick_end(Tick tick) override {
-    for (auto* s : sinks_) s->on_tick_end(tick);
-  }
-
- private:
-  std::vector<SpikeSink*> sinks_;
 };
 
 /// Streaming FNV-1a 64 digest of the canonical spike stream: each spike

@@ -64,12 +64,4 @@ static_assert(sizeof(core::Spike) == 16);
 static_assert(sizeof(core::InputSpike) == 16);
 static_assert(sizeof(compass::Simulator::WordDelivery) == 16);
 
-// POD wire helpers live in the shared IPC layer (bounds-checked there so a
-// malformed frame can never read out of bounds); re-exported for the rank
-// and coordinator encode/decode paths.
-using ipc::get_pod;
-using ipc::get_pod_array;
-using ipc::put_pod;
-using ipc::put_pod_array;
-
 }  // namespace nsc::dist

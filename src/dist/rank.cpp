@@ -10,8 +10,10 @@
 #include "src/core/input_schedule.hpp"
 #include "src/dist/protocol.hpp"
 #include "src/ipc/byte_stream.hpp"
+#include "src/ipc/endpoint.hpp"
 #include "src/obs/obs.hpp"
 #include "src/util/bitrow.hpp"
+#include "src/util/process_exit.hpp"
 
 namespace nsc::dist {
 
@@ -106,9 +108,9 @@ bool hooks_armed(const Config& cfg) {
 /// second suicide, and hang. Never returns if a hook fires.
 void fire_tick_hooks(const Config& cfg, int rank, int phase, core::Tick t) {
   if (!hooks_armed(cfg) || phase != cfg.suicide_phase) return;
-  if (rank == cfg.suicide_rank && t == cfg.suicide_tick) exit_rank_process(3);
-  if (rank == cfg.suicide2_rank && t == cfg.suicide2_tick) exit_rank_process(3);
-  if (rank == cfg.hang_rank && t == cfg.hang_tick) wedge_rank_process();
+  if (rank == cfg.suicide_rank && t == cfg.suicide_tick) util::exit_process_nounwind(3);
+  if (rank == cfg.suicide2_rank && t == cfg.suicide2_tick) util::exit_process_nounwind(3);
+  if (rank == cfg.hang_rank && t == cfg.hang_tick) ipc::wedge_forever();
 }
 
 /// One run segment: nticks of dist_tick + peer exchange (+ per-tick spike
@@ -156,8 +158,8 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       ipc::Frame& f = out[static_cast<std::size_t>(r)];
       f.kind = static_cast<std::uint32_t>(MsgKind::kSpikeBatch);
       f.payload.clear();
-      put_pod(f.payload, static_cast<std::int64_t>(t));
-      put_pod_array(f.payload, words.data(), words.size());
+      ipc::put_pod(f.payload, static_cast<std::int64_t>(t));
+      ipc::put_pod_array(f.payload, words.data(), words.size());
       for (const WordDelivery& w : words) {
         batch_bits[static_cast<std::size_t>(r)] +=
             static_cast<std::uint64_t>(util::popcount64(w.bits));
@@ -170,11 +172,11 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       ipc::Frame& f = in[static_cast<std::size_t>(r)];
       if (f.kind != static_cast<std::uint32_t>(MsgKind::kSpikeBatch)) continue;
       std::size_t off = 0;
-      const auto peer_tick = get_pod<std::int64_t>(f.payload, off);
+      const auto peer_tick = ipc::get_pod<std::int64_t>(f.payload, off);
       if (peer_tick != t) throw std::runtime_error("dist: peer tick skew exceeded the window");
       const std::size_t nwords = (f.payload.size() - off) / sizeof(WordDelivery);
       words_in.clear();
-      get_pod_array(f.payload, off, nwords, words_in);
+      ipc::get_pod_array(f.payload, off, nwords, words_in);
       sim.dist_deliver(words_in.data(), words_in.size());
     }
     for (const int r : newly_dead) {
@@ -197,10 +199,10 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       spikes.clear();
       sim.dist_drain_spikes(spikes);
       tick_payload.clear();
-      put_pod(tick_payload, static_cast<std::int64_t>(t));
-      put_pod(tick_payload, static_cast<std::uint32_t>(spikes.size()));
-      put_pod(tick_payload, std::uint32_t{0});
-      put_pod_array(tick_payload, spikes.data(), spikes.size());
+      ipc::put_pod(tick_payload, static_cast<std::int64_t>(t));
+      ipc::put_pod(tick_payload, static_cast<std::uint32_t>(spikes.size()));
+      ipc::put_pod(tick_payload, std::uint32_t{0});
+      ipc::put_pod_array(tick_payload, spikes.data(), spikes.size());
       if (!parent.send_frame(static_cast<std::uint32_t>(MsgKind::kTickSpikes),
                              tick_payload.data(), tick_payload.size())) {
         return false;
@@ -237,12 +239,12 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
     switch (static_cast<MsgKind>(cmd.kind)) {
       case MsgKind::kRun: {
         std::size_t off = 0;
-        const auto nticks = get_pod<std::int64_t>(cmd.payload, off);
-        const auto record = get_pod<std::uint8_t>(cmd.payload, off);
+        const auto nticks = ipc::get_pod<std::int64_t>(cmd.payload, off);
+        const auto record = ipc::get_pod<std::uint8_t>(cmd.payload, off);
         off += 3;  // padding
-        const auto nevents = get_pod<std::uint32_t>(cmd.payload, off);
+        const auto nevents = ipc::get_pod<std::uint32_t>(cmd.payload, off);
         std::vector<core::InputSpike> events;
-        get_pod_array(cmd.payload, off, nevents, events);
+        ipc::get_pod_array(cmd.payload, off, nevents, events);
         core::InputSchedule inputs;
         for (const core::InputSpike& e : events) inputs.add(e);
         inputs.finalize();
@@ -253,14 +255,14 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
       }
       case MsgKind::kFailCore: {
         std::size_t off = 0;
-        sim.fail_core(get_pod<std::uint32_t>(cmd.payload, off));
+        sim.fail_core(ipc::get_pod<std::uint32_t>(cmd.payload, off));
         if (!send_report(st, parent)) return 0;
         break;
       }
       case MsgKind::kFailLink: {
         std::size_t off = 0;
-        const auto chip = get_pod<std::int32_t>(cmd.payload, off);
-        const auto dir = get_pod<std::int32_t>(cmd.payload, off);
+        const auto chip = ipc::get_pod<std::int32_t>(cmd.payload, off);
+        const auto dir = ipc::get_pod<std::int32_t>(cmd.payload, off);
         sim.fail_link(chip, dir);
         if (!send_report(st, parent)) return 0;
         break;
@@ -269,7 +271,7 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
         ++saves_seen;
         if (hooks_armed(cfg) && rank == cfg.die_on_save_rank &&
             saves_seen == cfg.die_on_save_seq) {
-          exit_rank_process(3);  // Death mid-checkpoint-collection.
+          util::exit_process_nounwind(3);  // Death mid-checkpoint-collection.
         }
         std::ostringstream os(std::ios::binary);
         sim.save_checkpoint(os);

@@ -1,14 +1,10 @@
 #include "src/dist/transport.hpp"
 
-#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
 #include <stdexcept>
-
-#include "src/ipc/endpoint.hpp"
-#include "src/util/process_exit.hpp"
 
 namespace nsc::dist {
 
@@ -87,19 +83,5 @@ Spawned spawn_ranks(int nranks) {
   }
   return s;
 }
-
-void exit_rank_process(int status) noexcept { util::exit_process_nounwind(status); }
-
-int reap_rank(int pid) { return ipc::reap_process(pid); }
-
-int reap_rank_deadline(int pid, int deadline_ms) {
-  return ipc::reap_process_deadline(pid, deadline_ms);
-}
-
-void kill_rank_process(int pid) { ipc::signal_process(pid, SIGKILL); }
-
-void stop_rank_process(int pid) { ipc::signal_process(pid, SIGSTOP); }
-
-void wedge_rank_process() { ipc::wedge_forever(); }
 
 }  // namespace nsc::dist

@@ -4,9 +4,10 @@
 // poll-driven ipc::PeerPump, and the POD wire helpers) live in the shared
 // src/ipc/ layer, which nsc_serve uses too; the dist code names them there.
 // What remains in this translation unit is the dist-specific part: the full
-// socketpair mesh + fork of the rank fleet, and the rank-process lifecycle
-// helpers (together with src/ipc this is the only home of raw
-// process/socket syscalls — lint_invariants INV005/INV006).
+// socketpair mesh + fork of the rank fleet (together with src/ipc this is
+// the only home of raw process/socket syscalls — lint_invariants
+// INV005/INV006). Rank processes exit through util::exit_process_nounwind
+// and are signalled and reaped through the ipc process helpers.
 //
 // Topology: spawn_ranks(N) builds a full mesh — one Unix-domain stream
 // socketpair per (coordinator, rank) pair and one per unordered rank pair —
@@ -52,33 +53,5 @@ struct Spawned {
 /// once per process: the coordinator gets the parent shape, each child the
 /// rank shape. Throws std::runtime_error when the OS runs out of resources.
 [[nodiscard]] Spawned spawn_ranks(int nranks);
-
-/// Terminates the calling rank process without unwinding — no atexit
-/// handlers and no static destructors, because a forked child must not
-/// re-run teardown the parent also owns (test-framework state, buffered
-/// stdio). Under a --coverage build the gcov counters are flushed first so
-/// rank-process execution still counts toward the CI coverage gate.
-[[noreturn]] void exit_rank_process(int status) noexcept;
-
-/// Waits for a rank process to exit (after its channel died or a shutdown
-/// was sent). Returns the raw wait status, or -1 if pid is invalid.
-int reap_rank(int pid);
-
-/// Deadline-bounded reap: polls for the exit up to `deadline_ms`, then
-/// SIGKILLs and reaps unconditionally. Guards coordinator teardown against a
-/// child that is stopped or wedged and will never exit on its own.
-int reap_rank_deadline(int pid, int deadline_ms);
-
-/// Force-kills a rank process (coordinator teardown of a wedged child).
-void kill_rank_process(int pid);
-
-/// Stops (SIGSTOP) a rank process without killing it: the fault-campaign
-/// model of a wedged-but-alive node — fds stay open, so peers see silence,
-/// not EOF, and only a deadline can tell it apart from a slow rank.
-void stop_rank_process(int pid);
-
-/// Test hook for Config::hang_rank: parks the calling rank process forever
-/// without closing its fds (the in-process twin of stop_rank_process).
-[[noreturn]] void wedge_rank_process();
 
 }  // namespace nsc::dist

@@ -113,14 +113,6 @@ Channel connect_unix(const std::string& path) {
   }
 }
 
-std::pair<Channel, Channel> channel_pair() {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    throw std::runtime_error("ipc: socketpair failed");
-  }
-  return {Channel(fds[0]), Channel(fds[1])};
-}
-
 int poll_wait(std::vector<PollItem>& items, int timeout_ms) {
   std::vector<pollfd> pfds;
   std::vector<std::size_t> idx;
@@ -214,7 +206,5 @@ void install_stop_signal(int signum) {
 }
 
 bool stop_signal_raised() noexcept { return g_stop_flag != 0; }
-
-void clear_stop_signal() noexcept { g_stop_flag = 0; }
 
 }  // namespace nsc::ipc

@@ -9,7 +9,6 @@
 #include <csignal>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/ipc/channel.hpp"
@@ -52,9 +51,6 @@ class Listener {
 /// socket, refused, path too long). Blocking-mode fd; callers that join a
 /// poll loop switch it with set_nonblocking().
 [[nodiscard]] Channel connect_unix(const std::string& path);
-
-/// A connected socketpair as two Channels (in-process test harnesses).
-[[nodiscard]] std::pair<Channel, Channel> channel_pair();
 
 /// One fd of interest in a poll_wait call.
 struct PollItem {
@@ -102,8 +98,5 @@ void install_stop_signal(int signum);
 
 /// True once any install_stop_signal()-registered signal has been received.
 [[nodiscard]] bool stop_signal_raised() noexcept;
-
-/// Clears the stop flag (test isolation).
-void clear_stop_signal() noexcept;
 
 }  // namespace nsc::ipc

@@ -29,11 +29,6 @@ namespace nsc::util {
 /// Clears the lowest set bit of `w` and returns the new value.
 [[nodiscard]] constexpr std::uint64_t clear_lowest(std::uint64_t w) noexcept { return w & (w - 1); }
 
-/// Rounds `v` up to the next multiple of `m` (m must be a power of two).
-[[nodiscard]] constexpr std::size_t round_up_pow2(std::size_t v, std::size_t m) noexcept {
-  return (v + m - 1) & ~(m - 1);
-}
-
 /// Integer ceiling division.
 template <typename T>
 [[nodiscard]] constexpr T ceil_div(T a, T b) noexcept {

@@ -14,16 +14,16 @@
 // be different configurations of the same workload (1 rank vs 4 ranks), where
 // "candidate slower than baseline" is exactly what the gate is for. Exit
 // codes: 0 = within threshold, 1 = regression (or missed speedup) detected,
-// 2 = usage or parse error.
+// 2 = usage or parse error (a usage error prints `usage error: <reason>`
+// before either report is read, tools/cli.hpp).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "src/obs/json.hpp"
 #include "src/obs/json_report.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -36,32 +36,17 @@ const char* string_at(const nsc::obs::JsonValue& doc, const char* key, const cha
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> paths;
-  double threshold = 1.25;
-  double min_speedup = 0.0;  // 0 = gate disabled
-  bool phases = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--phases") == 0) {
-      phases = true;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    } else {
-      paths.emplace_back(argv[i]);
-    }
-  }
-  if (paths.size() != 2 || threshold < 1.0 || min_speedup < 0.0) {
-    std::fprintf(stderr,
-                 "usage: nsc_bench_diff baseline.json candidate.json [--threshold R>=1] "
-                 "[--phases] [--min-speedup S>=0]\n");
-    return 2;
-  }
-
   try {
+    const nsc::cli::Args a(argc, argv,
+                           {.values = {"--threshold", "--min-speedup"},
+                            .switches = {"--phases"},
+                            .positionals = 2});
+    const std::vector<std::string>& paths = a.positionals();
+    const double threshold = a.real("--threshold", 1.25, 1.0);
+    const double min_speedup = a.real("--min-speedup", 0.0, 0.0);  // 0 = gate disabled
+    const bool phases = a.has("--phases");
+    nsc::cli::check({{paths.size() != 2, "needs baseline.json and candidate.json"}});
+
     const nsc::obs::JsonValue base = nsc::obs::load_json_file(paths[0]);
     const nsc::obs::JsonValue cand = nsc::obs::load_json_file(paths[1]);
     std::printf("baseline:  %s (%s, git %s)\n", paths[0].c_str(), string_at(base, "name", "?"),
@@ -113,6 +98,8 @@ int main(int argc, char** argv) {
     }
     std::printf("\nOK: all metrics within %.2fx threshold\n", threshold);
     return 0;
+  } catch (const nsc::cli::UsageError& e) {
+    return nsc::cli::usage_error(e);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

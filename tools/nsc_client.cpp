@@ -25,13 +25,11 @@
 // the signal path also exits 0 (the clean-shutdown contract).
 //
 // Exit codes: 0 success, 1 runtime/protocol failure (daemon refused the
-// session, hash or roundtrip or solo mismatch, daemon died), 2 usage error.
-#include <cerrno>
+// session, hash or roundtrip or solo mismatch, daemon died), 2 usage error
+// (`usage error: <reason>` before anything connects or forks, tools/cli.hpp).
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <sys/wait.h>
@@ -43,45 +41,9 @@
 #include "src/core/spike_sink.hpp"
 #include "src/ipc/endpoint.hpp"
 #include "src/serve/client.hpp"
+#include "tools/cli.hpp"
 
 namespace {
-
-long long parse_ll(const char* name, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') {
-    throw std::runtime_error(std::string("invalid integer for ") + name + ": '" + s + "'");
-  }
-  return v;
-}
-
-std::uint64_t parse_hex64(const char* name, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 16);
-  if (errno != 0 || end == s || *end != '\0') {
-    throw std::runtime_error(std::string("invalid hex value for ") + name + ": '" + s + "'");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --socket PATH --create NET --ticks N [--threads N] [--chunk N]\n"
-               "          [--in events.aer] [--out spikes.aer] [--trace-hash]\n"
-               "          [--expect-trace-hash HEX] [--checkpoint-roundtrip-at T]\n"
-               "          [--verify-solo net.nsc] [--stats-out FILE] [--shutdown | --sigterm]\n"
-               "          [--spawn-serve BIN [--spawn-arg ARG ...]]\n",
-               argv0);
-  return 2;
-}
-
-std::uint64_t hash_spikes(const std::vector<nsc::core::Spike>& spikes) {
-  nsc::core::TraceHashSink h;
-  for (const auto& s : spikes) h.on_spike(s.tick, s.core, s.neuron);
-  return h.hash();
-}
 
 /// Advances the session from `from` to `to` in `chunk`-tick commands,
 /// draining the queue after each so the stream arrives in canonical order.
@@ -144,8 +106,8 @@ int run_session(const Options& opt) {
                    "nsc_client: checkpoint roundtrip diverged (%zu vs %zu spikes, "
                    "hash %016llx vs %016llx)\n",
                    tail_a.size(), tail_b.size(),
-                   static_cast<unsigned long long>(hash_spikes(tail_a)),
-                   static_cast<unsigned long long>(hash_spikes(tail_b)));
+                   static_cast<unsigned long long>(nsc::core::trace_hash(tail_a)),
+                   static_cast<unsigned long long>(nsc::core::trace_hash(tail_b)));
       return 1;
     }
     stream.insert(stream.end(), tail_a.begin(), tail_a.end());
@@ -168,7 +130,7 @@ int run_session(const Options& opt) {
   client.destroy(session);
   if (opt.do_shutdown) client.shutdown();
 
-  const std::uint64_t hash = hash_spikes(stream);
+  const std::uint64_t hash = nsc::core::trace_hash(stream);
   if (opt.trace_hash || opt.has_expect) {
     std::printf("trace-hash         : %016llx (%zu spikes)\n",
                 static_cast<unsigned long long>(hash), stream.size());
@@ -209,67 +171,38 @@ int run_session(const Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto need = [&](const char* flag) -> const char* {
-        if (i + 1 >= argc) throw std::invalid_argument(std::string(flag) + " needs a value");
-        return argv[++i];
-      };
-      if (arg == "--socket") {
-        opt.socket = need("--socket");
-      } else if (arg == "--create") {
-        opt.net_name = need("--create");
-      } else if (arg == "--ticks") {
-        opt.ticks = parse_ll("--ticks", need(arg.c_str()));
-        if (opt.ticks < 0) throw std::invalid_argument("--ticks must be >= 0");
-      } else if (arg == "--chunk") {
-        opt.chunk = parse_ll("--chunk", need(arg.c_str()));
-        if (opt.chunk < 0) throw std::invalid_argument("--chunk must be >= 0");
-      } else if (arg == "--threads") {
-        const long long v = parse_ll("--threads", need(arg.c_str()));
-        if (v < 0) throw std::invalid_argument("--threads must be >= 0");
-        opt.threads = static_cast<std::uint32_t>(v);
-      } else if (arg == "--in") {
-        opt.in_path = need("--in");
-      } else if (arg == "--out") {
-        opt.out_path = need("--out");
-      } else if (arg == "--trace-hash") {
-        opt.trace_hash = true;
-      } else if (arg == "--expect-trace-hash") {
-        opt.expect_hash = parse_hex64("--expect-trace-hash", need(arg.c_str()));
-        opt.has_expect = true;
-      } else if (arg == "--checkpoint-roundtrip-at") {
-        opt.roundtrip_at = parse_ll("--checkpoint-roundtrip-at", need(arg.c_str()));
-        if (opt.roundtrip_at < 1) {
-          throw std::invalid_argument("--checkpoint-roundtrip-at must be >= 1");
-        }
-      } else if (arg == "--verify-solo") {
-        opt.solo_net = need("--verify-solo");
-      } else if (arg == "--stats-out") {
-        opt.stats_out = need("--stats-out");
-      } else if (arg == "--shutdown") {
-        opt.do_shutdown = true;
-      } else if (arg == "--sigterm") {
-        opt.do_sigterm = true;
-      } else if (arg == "--spawn-serve") {
-        opt.spawn_serve = need("--spawn-serve");
-      } else if (arg == "--spawn-arg") {
-        opt.spawn_args.emplace_back(need("--spawn-arg"));
-      } else {
-        throw std::invalid_argument("unknown flag '" + arg + "'");
-      }
-    }
-    if (opt.socket.empty()) throw std::invalid_argument("--socket is required");
-    if (opt.net_name.empty()) throw std::invalid_argument("--create is required");
-    if (opt.do_shutdown && opt.do_sigterm) {
-      throw std::invalid_argument("--shutdown and --sigterm are mutually exclusive");
-    }
-    if (opt.do_sigterm && opt.spawn_serve.empty()) {
-      throw std::invalid_argument("--sigterm requires --spawn-serve");
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "nsc_client: %s\n", e.what());
-    return usage(argv[0]);
+    const nsc::cli::Args a(
+        argc, argv,
+        {.values = {"--socket", "--create", "--ticks", "--chunk", "--threads", "--in", "--out",
+                    "--expect-trace-hash", "--checkpoint-roundtrip-at", "--verify-solo",
+                    "--stats-out", "--spawn-serve"},
+         .switches = {"--trace-hash", "--shutdown", "--sigterm"},
+         .repeatable = {"--spawn-arg"}});
+    opt.socket = a.str("--socket");
+    opt.net_name = a.str("--create");
+    opt.in_path = a.str("--in");
+    opt.out_path = a.str("--out");
+    opt.solo_net = a.str("--verify-solo");
+    opt.stats_out = a.str("--stats-out");
+    opt.spawn_serve = a.str("--spawn-serve");
+    opt.spawn_args = a.all("--spawn-arg");
+    opt.ticks = a.integer<nsc::core::Tick>("--ticks", 0, 0);
+    opt.chunk = a.integer<nsc::core::Tick>("--chunk", 0, 0);
+    opt.roundtrip_at = a.integer<nsc::core::Tick>("--checkpoint-roundtrip-at", -1, 1);
+    opt.threads = a.integer<std::uint32_t>("--threads", 0);
+    opt.trace_hash = a.has("--trace-hash");
+    opt.has_expect = a.has("--expect-trace-hash");
+    opt.expect_hash = a.hex64("--expect-trace-hash", 0);
+    opt.do_shutdown = a.has("--shutdown");
+    opt.do_sigterm = a.has("--sigterm");
+    nsc::cli::check({
+        {opt.socket.empty(), "--socket is required"},
+        {opt.net_name.empty(), "--create is required"},
+        {opt.do_shutdown && opt.do_sigterm, "--shutdown and --sigterm are mutually exclusive"},
+        {opt.do_sigterm && opt.spawn_serve.empty(), "--sigterm requires --spawn-serve"},
+    });
+  } catch (const nsc::cli::UsageError& e) {
+    return nsc::cli::usage_error(e);
   }
 
   int serve_pid = -1;

@@ -26,12 +26,14 @@
 // recovery latency, and rollback depth. --json writes the grid into a
 // "rank_kills" array; --check-monotone exits non-zero unless every cell
 // recovered exactly (fidelity 1.0, at least one respawn).
+//
+// Exit codes: 0 success, 1 runtime failure or a failed --check-monotone,
+// 2 usage error (`usage error: <reason>` before anything loads,
+// tools/cli.hpp).
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -48,32 +50,9 @@
 #include "src/obs/json_report.hpp"
 #include "src/obs/obs.hpp"
 #include "src/tn/chip_sim.hpp"
+#include "tools/cli.hpp"
 
 namespace {
-
-const char* flag_value(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool flag_present(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-long long parse_ll(const char* name, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') {
-    throw std::runtime_error(std::string("invalid integer for ") + name + ": '" + s + "'");
-  }
-  return v;
-}
 
 /// Comma-separated fault fractions, each in [0, 1).
 std::vector<double> parse_fractions(const std::string& spec) {
@@ -82,11 +61,9 @@ std::vector<double> parse_fractions(const std::string& spec) {
   while (pos <= spec.size()) {
     const std::size_t comma = std::min(spec.find(',', pos), spec.size());
     const std::string tok = spec.substr(pos, comma - pos);
-    errno = 0;
-    char* end = nullptr;
-    const double f = std::strtod(tok.c_str(), &end);
-    if (errno != 0 || end == tok.c_str() || *end != '\0' || f < 0.0 || f >= 1.0) {
-      throw std::runtime_error("invalid fault fraction '" + tok + "' (need 0 <= f < 1)");
+    const double f = nsc::cli::parse_real("--fractions", tok);
+    if (f < 0.0 || f >= 1.0) {
+      throw nsc::cli::UsageError("invalid fault fraction '" + tok + "' (need 0 <= f < 1)");
     }
     out.push_back(f);
     pos = comma + 1;
@@ -101,13 +78,6 @@ std::unique_ptr<nsc::core::Simulator> make_sim(const nsc::core::Network& net,
         net, nsc::compass::Config{.threads = std::max(1, threads)});
   }
   return std::make_unique<nsc::tn::TrueNorthSimulator>(net);
-}
-
-std::uint64_t counter_value(const nsc::obs::Registry& reg, std::string_view name) {
-  for (const auto& [n, v] : reg.counters()) {
-    if (n == name) return v;
-  }
-  return 0;
 }
 
 const nsc::obs::Registry& sim_metrics(const nsc::core::Simulator& sim, const std::string& backend) {
@@ -134,37 +104,34 @@ std::size_t spike_intersection(const std::vector<nsc::core::Spike>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string net_path = flag_value(argc, argv, "--net", "");
-  if (net_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: nsc_faultsweep --net FILE --ticks N [--backend tn|compass] [--threads N]\n"
-                 "                      [--fractions 0,0.1,0.25] [--events-seed S] [--in F]\n"
-                 "                      [--json FILE] [--check-monotone] [--lint]\n"
-                 "       nsc_faultsweep --net FILE --ticks N --rank-kills [--ranks N]\n"
-                 "                      [--recovery-interval K] [--threads N] [--in F]\n"
-                 "                      [--json FILE] [--check-monotone]\n");
-    return 2;
-  }
   try {
-    const auto ticks =
-        static_cast<nsc::core::Tick>(parse_ll("--ticks", flag_value(argc, argv, "--ticks", "100")));
-    if (ticks <= 0) throw std::runtime_error("--ticks must be > 0");
-    const std::string backend = flag_value(argc, argv, "--backend", "tn");
-    if (backend != "tn" && backend != "compass") {
-      throw std::runtime_error("unknown backend '" + backend + "' (expected tn or compass)");
-    }
-    const int threads =
-        static_cast<int>(parse_ll("--threads", flag_value(argc, argv, "--threads", "1")));
-    const auto events_seed = static_cast<std::uint64_t>(
-        parse_ll("--events-seed", flag_value(argc, argv, "--events-seed", "1")));
+    const nsc::cli::Args a(
+        argc, argv,
+        {.values = {"--net", "--ticks", "--backend", "--threads", "--events-seed", "--fractions",
+                    "--in", "--json", "--ranks", "--recovery-interval"},
+         .switches = {"--check-monotone", "--lint", "--rank-kills"}});
+    const std::string net_path = a.str("--net");
+    const auto ticks = a.integer<nsc::core::Tick>("--ticks", 100, 1);
+    const std::string backend = a.choice("--backend", "tn", {"tn", "compass"});
+    const int threads = a.integer("--threads", 1);
+    const auto events_seed = static_cast<std::uint64_t>(a.integer("--events-seed", 1LL));
     const std::vector<double> fractions =
-        parse_fractions(flag_value(argc, argv, "--fractions", "0,0.05,0.15,0.3"));
-    const std::string in_path = flag_value(argc, argv, "--in", "");
-    const std::string json_path = flag_value(argc, argv, "--json", "");
-    const bool check_monotone = flag_present(argc, argv, "--check-monotone");
+        parse_fractions(a.str("--fractions", "0,0.05,0.15,0.3"));
+    const std::string in_path = a.str("--in");
+    const std::string json_path = a.str("--json");
+    const bool check_monotone = a.has("--check-monotone");
+    const bool rank_kills = a.has("--rank-kills");
+    const int nranks = a.integer("--ranks", 2);
+    const auto interval = a.integer<nsc::core::Tick>("--recovery-interval", 8);
+    nsc::cli::check({
+        {net_path.empty(), "--net is required"},
+        {rank_kills && nranks < 2, "--rank-kills needs --ranks >= 2"},
+        {rank_kills && interval < 1, "--recovery-interval must be >= 1"},
+        {rank_kills && ticks < 4, "--rank-kills needs --ticks >= 4"},
+    });
 
     const nsc::core::Network net = nsc::core::load_network(net_path);
-    if (flag_present(argc, argv, "--lint") && !nsc::analysis::lint_preflight(net, net_path)) {
+    if (a.has("--lint") && !nsc::analysis::lint_preflight(net, net_path)) {
       return 1;
     }
     const int ncores = net.geom.total_cores();
@@ -175,15 +142,7 @@ int main(int argc, char** argv) {
       inputs.finalize();
     }
 
-    if (flag_present(argc, argv, "--rank-kills")) {
-      const int nranks =
-          static_cast<int>(parse_ll("--ranks", flag_value(argc, argv, "--ranks", "2")));
-      if (nranks < 2) throw std::runtime_error("--rank-kills needs --ranks >= 2");
-      const auto interval = static_cast<nsc::core::Tick>(parse_ll(
-          "--recovery-interval", flag_value(argc, argv, "--recovery-interval", "8")));
-      if (interval < 1) throw std::runtime_error("--recovery-interval must be >= 1");
-      if (ticks < 4) throw std::runtime_error("--rank-kills needs --ticks >= 4");
-
+    if (rank_kills) {
       // Fault-free reference on the single-process kernel: recovery is exact,
       // so every cell of the grid must reproduce this train spike for spike.
       nsc::core::VectorSink ref;
@@ -315,9 +274,9 @@ int main(int argc, char** argv) {
       nsc::fault::run_with_campaign(*sim, ticks, &inputs, &sink, campaign);
 
       const nsc::obs::Registry& m = sim_metrics(*sim, backend);
-      const std::uint64_t cores_failed = counter_value(m, "fault.cores_failed");
-      const std::uint64_t dropped = counter_value(m, "fault.spikes_dropped");
-      const std::uint64_t rerouted = counter_value(m, "fault.rerouted_hops");
+      const std::uint64_t cores_failed = m.counter_value("fault.cores_failed");
+      const std::uint64_t dropped = m.counter_value("fault.spikes_dropped");
+      const std::uint64_t rerouted = m.counter_value("fault.rerouted_hops");
       const double fidelity =
           ref.spikes().empty()
               ? 1.0
@@ -368,6 +327,8 @@ int main(int argc, char** argv) {
       }
       std::printf("monotone check passed (%zu points)\n", fractions.size());
     }
+  } catch (const nsc::cli::UsageError& e) {
+    return nsc::cli::usage_error(e);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -2,41 +2,24 @@
 // parameter distributions, validation findings.
 //
 //   nsc_info --net net.nsc [--per-core]
+//
+// Exit codes: 0 success, 1 unreadable file, 2 usage error
+// (`usage error: <reason>`, tools/cli.hpp).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "src/analysis/lint.hpp"
 #include "src/core/network_io.hpp"
 #include "src/util/table.hpp"
-
-namespace {
-
-const char* flag_value(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool flag_present(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
+#include "tools/cli.hpp"
 
 int main(int argc, char** argv) {
-  const std::string net_path = flag_value(argc, argv, "--net", "");
-  if (net_path.empty()) {
-    std::fprintf(stderr, "usage: nsc_info --net FILE [--per-core]\n");
-    return 2;
-  }
   try {
+    const nsc::cli::Args a(argc, argv, {.values = {"--net"}, .switches = {"--per-core"}});
+    const std::string net_path = a.str("--net");
+    nsc::cli::check({{net_path.empty(), "--net is required"}});
     const nsc::core::Network net = nsc::core::load_network(net_path);
     std::printf("%s\n", net_path.c_str());
     std::printf("geometry: %dx%d chips of %dx%d cores = %d cores, %d neuron slots\n",
@@ -98,7 +81,7 @@ int main(int argc, char** argv) {
       std::printf("      run nsc_lint --net %s for the full report\n", net_path.c_str());
     }
 
-    if (flag_present(argc, argv, "--per-core")) {
+    if (a.has("--per-core")) {
       nsc::util::Table t({"core", "enabled", "synapses", "mean row fanout"});
       const int show = std::min(net.geom.total_cores(), 32);
       for (int c = 0; c < show; ++c) {
@@ -113,6 +96,8 @@ int main(int argc, char** argv) {
       }
       t.print(std::cout);
     }
+  } catch (const nsc::cli::UsageError& e) {
+    return nsc::cli::usage_error(e);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

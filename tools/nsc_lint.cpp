@@ -35,13 +35,12 @@
 // unknown rule IDs warn on stderr (they used to be silently accepted).
 //
 // Exit codes: 0 = deployable under the chosen gate, 1 = warnings present
-// and --fail-on=warn, 2 = error-level findings, a conservativeness-gate
-// violation, or a usage error.
+// and --fail-on warn, 2 = error-level findings, a conservativeness-gate
+// violation, an unreadable input, or a usage error (`usage error: <reason>`
+// before anything loads, tools/cli.hpp).
 #include <algorithm>
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -54,22 +53,9 @@
 #include "src/analysis/report.hpp"
 #include "src/core/network_io.hpp"
 #include "src/obs/json.hpp"
+#include "tools/cli.hpp"
 
 namespace {
-
-const char* flag_value(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool flag_present(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 bool known_rule(const std::string& id) {
   for (const nsc::analysis::RuleInfo& r : nsc::analysis::rule_catalog()) {
@@ -130,16 +116,6 @@ std::vector<std::string> parse_suppress(const std::string& spec) {
   return out;
 }
 
-long long parse_ll(const char* name, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') {
-    throw std::runtime_error(std::string("invalid integer for ") + name + ": '" + s + "'");
-  }
-  return v;
-}
-
 std::uint64_t json_u64(const nsc::obs::JsonValue& doc, const char* key, std::uint64_t fallback) {
   const nsc::obs::JsonValue* v = doc.find(key);
   return v != nullptr && v->is_number() ? static_cast<std::uint64_t>(v->as_int()) : fallback;
@@ -198,69 +174,47 @@ bool check_run_against_plan(const nsc::analysis::DeploymentPlan& plan, const std
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string net_path = flag_value(argc, argv, "--net", "");
-  const std::string ckpt_path = flag_value(argc, argv, "--checkpoint", "");
-  if (net_path.empty() && ckpt_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: nsc_lint --net FILE [--json FILE] [--fail-on error|warn|never]\n"
-                 "                [--suppress NSC0xx,NSC0yy-NSC0zz] [--max-findings N]\n"
-                 "                [--no-graph] [--no-load] [--quiet]\n"
-                 "                [--ranks N] [--replicas M] [--supervise]\n"
-                 "                [--rank-deadline-ms MS] [--recovery-interval K]\n"
-                 "                [--mem-budget-mb MB] [--plan] [--plan-out FILE]\n"
-                 "                [--check-run bench.json]\n"
-                 "       nsc_lint --checkpoint state.nsck [--net FILE] [...]\n");
-    return 2;
-  }
   try {
-    const std::string fail_on = flag_value(argc, argv, "--fail-on", "error");
-    if (fail_on != "error" && fail_on != "warn" && fail_on != "never") {
-      throw std::runtime_error("invalid --fail-on '" + fail_on + "' (error|warn|never)");
-    }
-    const std::string json_path = flag_value(argc, argv, "--json", "");
-    const long max_findings =
-        std::strtol(flag_value(argc, argv, "--max-findings", "50"), nullptr, 10);
-    const bool quiet = flag_present(argc, argv, "--quiet");
-
-    nsc::analysis::LintOptions options;
-    options.suppress = parse_suppress(flag_value(argc, argv, "--suppress", ""));
-    options.graph = !flag_present(argc, argv, "--no-graph");
-    options.load = !flag_present(argc, argv, "--no-load");
+    const nsc::cli::Args a(
+        argc, argv,
+        {.values = {"--net", "--checkpoint", "--fail-on", "--json", "--max-findings", "--suppress",
+                    "--plan-out", "--check-run", "--ranks", "--replicas", "--rank-deadline-ms",
+                    "--recovery-interval", "--mem-budget-mb"},
+         .switches = {"--quiet", "--no-graph", "--no-load", "--plan", "--supervise"}});
+    const std::string net_path = a.str("--net");
+    const std::string ckpt_path = a.str("--checkpoint");
+    const std::string fail_on = a.choice("--fail-on", "error", {"error", "warn", "never"});
+    const std::string json_path = a.str("--json");
+    const long max_findings = a.integer("--max-findings", 50L);
+    const bool quiet = a.has("--quiet");
 
     // Deployment planner: any deployment flag (or --plan/--check-run)
     // enables the NSC041–NSC055 rule group against that configuration.
-    const std::string plan_out = flag_value(argc, argv, "--plan-out", "");
-    const std::string check_run = flag_value(argc, argv, "--check-run", "");
-    const bool want_plan_json = flag_present(argc, argv, "--plan") || !plan_out.empty();
-    const bool have_deploy =
-        want_plan_json || !check_run.empty() || flag_present(argc, argv, "--ranks") ||
-        flag_present(argc, argv, "--replicas") || flag_present(argc, argv, "--supervise") ||
-        flag_present(argc, argv, "--rank-deadline-ms") ||
-        flag_present(argc, argv, "--recovery-interval") ||
-        flag_present(argc, argv, "--mem-budget-mb");
+    const std::string plan_out = a.str("--plan-out");
+    const std::string check_run = a.str("--check-run");
+    const bool want_plan_json = a.has("--plan") || !plan_out.empty();
+    const bool have_deploy = want_plan_json || !check_run.empty() || a.has("--ranks") ||
+                             a.has("--replicas") || a.has("--supervise") ||
+                             a.has("--rank-deadline-ms") || a.has("--recovery-interval") ||
+                             a.has("--mem-budget-mb");
     nsc::analysis::DeploymentSpec spec;
-    if (have_deploy) {
-      if (net_path.empty()) {
-        throw std::runtime_error("the deployment planner needs --net (got only --checkpoint)");
-      }
-      spec.ranks = static_cast<int>(parse_ll("--ranks", flag_value(argc, argv, "--ranks", "1")));
-      spec.replicas =
-          static_cast<int>(parse_ll("--replicas", flag_value(argc, argv, "--replicas", "1")));
-      spec.supervise = flag_present(argc, argv, "--supervise");
-      spec.rank_deadline_ms = static_cast<int>(
-          parse_ll("--rank-deadline-ms", flag_value(argc, argv, "--rank-deadline-ms", "0")));
-      spec.recovery_interval =
-          parse_ll("--recovery-interval", flag_value(argc, argv, "--recovery-interval", "32"));
-      const long long budget_mb =
-          parse_ll("--mem-budget-mb", flag_value(argc, argv, "--mem-budget-mb", "1024"));
-      if (spec.ranks < 1) throw std::runtime_error("--ranks must be >= 1");
-      if (spec.replicas < 1) throw std::runtime_error("--replicas must be >= 1");
-      if (spec.rank_deadline_ms < 0) throw std::runtime_error("--rank-deadline-ms must be >= 0");
-      if (spec.recovery_interval < 1) throw std::runtime_error("--recovery-interval must be >= 1");
-      if (budget_mb < 1) throw std::runtime_error("--mem-budget-mb must be >= 1");
-      spec.replica_memory_budget = static_cast<std::uint64_t>(budget_mb) << 20;
-      options.deploy = &spec;
-    }
+    spec.ranks = a.integer("--ranks", 1, 1);
+    spec.replicas = a.integer("--replicas", 1, 1);
+    spec.supervise = a.has("--supervise");
+    spec.rank_deadline_ms = a.integer("--rank-deadline-ms", 0, 0);
+    spec.recovery_interval = a.integer<long long>("--recovery-interval", 32, 1);
+    spec.replica_memory_budget = a.integer<std::uint64_t>("--mem-budget-mb", 1024, 1) << 20;
+    nsc::cli::check({
+        {net_path.empty() && ckpt_path.empty(), "--net or --checkpoint is required"},
+        {have_deploy && net_path.empty(),
+         "the deployment planner needs --net (got only --checkpoint)"},
+    });
+
+    nsc::analysis::LintOptions options;
+    options.suppress = parse_suppress(a.str("--suppress"));
+    options.graph = !a.has("--no-graph");
+    options.load = !a.has("--no-load");
+    if (have_deploy) options.deploy = &spec;
 
     // When --plan streams the JSON artifact to stdout, human-facing report and
     // status lines move to stderr so `nsc_lint --plan > plan.json` stays
@@ -335,6 +289,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(status, "OK: %s is deployable (fail-on=%s)\n", subject.c_str(), fail_on.c_str());
+  } catch (const nsc::cli::UsageError& e) {
+    return nsc::cli::usage_error(e);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -28,7 +28,6 @@
 //   ck_dead_delay.nsck    — dead core with buffered deliveries
 //                           (NSC053 info + NSC054 warn)
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -38,6 +37,7 @@
 #include "src/core/network_io.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/util/bitrow.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -90,16 +90,11 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* dir = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--dir") == 0) dir = argv[i + 1];
-  }
-  if (dir == nullptr) {
-    std::fprintf(stderr, "usage: nsc_lint_fixture --dir DIR\n");
-    return 2;
-  }
   try {
-    const std::string base = std::string(dir) + "/";
+    const nsc::cli::Args a(argc, argv, {.values = {"--dir"}});
+    const std::string dir = a.str("--dir");
+    nsc::cli::check({{dir.empty(), "--dir is required"}});
+    const std::string base = dir + "/";
     const nsc::core::Network ring = make_ring();
     nsc::core::save_network(ring, base + "lint_clean.nsc");
 
@@ -157,7 +152,9 @@ int main(int argc, char** argv) {
     dead.delay_words[2 * kDelayWordsPerCore] = 0x1;
     write_bytes(base + "ck_dead_delay.nsck", snapshot_bytes(dead));
 
-    std::printf("wrote lint fixtures to %s\n", dir);
+    std::printf("wrote lint fixtures to %s\n", dir.c_str());
+  } catch (const nsc::cli::UsageError& e) {
+    return nsc::cli::usage_error(e);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

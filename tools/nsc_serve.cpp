@@ -17,100 +17,50 @@
 //
 // Exit codes: 0 clean shutdown (signal or kShutdown command), 1 runtime
 // failure (unreadable/invalid network, lint-refused network, bind failure),
-// 2 usage error (missing --socket, no --net, malformed NAME=FILE or numeric
-// flag).
-#include <cerrno>
+// 2 usage error (missing --socket, no --net, malformed NAME=FILE, unknown
+// flag, malformed or out-of-range number; tools/cli.hpp).
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/ipc/endpoint.hpp"
 #include "src/serve/server.hpp"
-
-namespace {
-
-long long parse_ll(const char* name, const char* s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') {
-    throw std::runtime_error(std::string("invalid integer for ") + name + ": '" + s + "'");
-  }
-  return v;
-}
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --socket PATH --net NAME=FILE [--net NAME=FILE ...]\n"
-               "          [--max-sessions N] [--max-connections N] [--threads N]\n"
-               "          [--max-queued-spikes N] [--max-ticks-per-cmd N]\n"
-               "          [--max-conn-mb N] [--no-lint]\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
+#include "tools/cli.hpp"
 
 int main(int argc, char** argv) {
   nsc::serve::Server::Config cfg;
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto need = [&](const char* flag) -> const char* {
-        if (i + 1 >= argc) throw std::invalid_argument(std::string(flag) + " needs a value");
-        return argv[++i];
-      };
-      if (arg == "--socket") {
-        cfg.socket_path = need("--socket");
-      } else if (arg == "--net") {
-        const std::string spec = need("--net");
-        const std::size_t eq = spec.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-          throw std::invalid_argument("--net expects NAME=FILE, got '" + spec + "'");
-        }
-        cfg.net_paths.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      } else if (arg == "--max-sessions") {
-        cfg.max_sessions = static_cast<int>(parse_ll("--max-sessions", need(arg.c_str())));
-        if (cfg.max_sessions < 0) throw std::invalid_argument("--max-sessions must be >= 0");
-      } else if (arg == "--max-connections") {
-        cfg.max_connections =
-            static_cast<int>(parse_ll("--max-connections", need(arg.c_str())));
-        if (cfg.max_connections < 1) {
-          throw std::invalid_argument("--max-connections must be >= 1");
-        }
-      } else if (arg == "--threads") {
-        cfg.default_threads = static_cast<int>(parse_ll("--threads", need(arg.c_str())));
-        if (cfg.default_threads < 1) throw std::invalid_argument("--threads must be >= 1");
-      } else if (arg == "--max-queued-spikes") {
-        const long long v = parse_ll("--max-queued-spikes", need(arg.c_str()));
-        if (v < 1) throw std::invalid_argument("--max-queued-spikes must be >= 1");
-        cfg.limits.max_queued_spikes = static_cast<std::size_t>(v);
-      } else if (arg == "--max-ticks-per-cmd") {
-        const long long v = parse_ll("--max-ticks-per-cmd", need(arg.c_str()));
-        if (v < 1) throw std::invalid_argument("--max-ticks-per-cmd must be >= 1");
-        cfg.limits.max_ticks_per_cmd = v;
-      } else if (arg == "--max-conn-mb") {
-        const long long v = parse_ll("--max-conn-mb", need(arg.c_str()));
-        if (v < 1) throw std::invalid_argument("--max-conn-mb must be >= 1");
-        cfg.max_conn_out_bytes = static_cast<std::size_t>(v) << 20;
-      } else if (arg == "--no-lint") {
-        cfg.lint_admission = false;
-      } else {
-        throw std::invalid_argument("unknown flag '" + arg + "'");
+    const nsc::cli::Args a(
+        argc, argv,
+        {.values = {"--socket", "--max-sessions", "--max-connections", "--threads",
+                    "--max-queued-spikes", "--max-ticks-per-cmd", "--max-conn-mb"},
+         .switches = {"--no-lint"},
+         .repeatable = {"--net"}});
+    cfg.socket_path = a.str("--socket");
+    for (const std::string& spec : a.all("--net")) {
+      const std::size_t eq = spec.find('=');
+      if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
+        throw nsc::cli::UsageError("--net expects NAME=FILE, got '" + spec + "'");
       }
+      cfg.net_paths.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     }
-    if (cfg.socket_path.empty()) throw std::invalid_argument("--socket is required");
-    if (cfg.net_paths.empty()) throw std::invalid_argument("at least one --net is required");
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "nsc_serve: %s\n", e.what());
-    return usage(argv[0]);
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "nsc_serve: %s\n", e.what());
-    return usage(argv[0]);
+    cfg.max_sessions = a.integer("--max-sessions", cfg.max_sessions, 0);
+    cfg.max_connections = a.integer("--max-connections", cfg.max_connections, 1);
+    cfg.default_threads = a.integer("--threads", cfg.default_threads, 1);
+    cfg.limits.max_queued_spikes =
+        a.integer("--max-queued-spikes", cfg.limits.max_queued_spikes, 1);
+    cfg.limits.max_ticks_per_cmd =
+        a.integer("--max-ticks-per-cmd", cfg.limits.max_ticks_per_cmd, 1);
+    cfg.max_conn_out_bytes = a.integer("--max-conn-mb", cfg.max_conn_out_bytes >> 20, 1) << 20;
+    cfg.lint_admission = !a.has("--no-lint");
+    nsc::cli::check({
+        {cfg.socket_path.empty(), "--socket is required"},
+        {cfg.net_paths.empty(), "at least one --net is required"},
+    });
+  } catch (const nsc::cli::UsageError& e) {
+    return nsc::cli::usage_error(e);
   }
 
   try {
