@@ -60,4 +60,15 @@ double load_imbalance(const core::Network& net, const std::vector<CoreRange>& pa
   return mean > 0.0 ? max_load / mean : 1.0;
 }
 
+double load_imbalance(const std::vector<std::uint64_t>& compute_ns) noexcept {
+  std::uint64_t max = 0, sum = 0;
+  for (const std::uint64_t ns : compute_ns) {
+    max = std::max(max, ns);
+    sum += ns;
+  }
+  if (sum == 0) return 0.0;
+  const double mean = static_cast<double>(sum) / static_cast<double>(compute_ns.size());
+  return static_cast<double>(max) / mean;
+}
+
 }  // namespace nsc::compass

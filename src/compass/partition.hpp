@@ -9,6 +9,7 @@
 // expected activity).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/core/network.hpp"
@@ -42,5 +43,9 @@ struct CoreRange {
 /// Largest partition load divided by mean partition load (1.0 = perfect).
 [[nodiscard]] double load_imbalance(const core::Network& net,
                                     const std::vector<CoreRange>& parts);
+
+/// The measured counterpart: largest per-partition (or per-rank) compute
+/// time divided by the mean (1.0 = perfect; 0.0 when nothing was timed).
+[[nodiscard]] double load_imbalance(const std::vector<std::uint64_t>& compute_ns) noexcept;
 
 }  // namespace nsc::compass

@@ -94,19 +94,23 @@ class Simulator final : public core::Simulator {
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] const std::vector<CoreRange>& partitions() const noexcept { return parts_; }
 
-  /// Inter-process messages sent so far (aggregated mode counts one per
-  /// non-empty (src, dst) pair per tick; per-spike mode counts every spike).
-  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return messages_; }
+  /// Inter-process messages sent since the last reset_stats() (aggregated
+  /// mode counts one per non-empty (src, dst) pair per tick; per-spike mode
+  /// counts every spike).
+  [[nodiscard]] std::uint64_t messages_sent() const noexcept {
+    return step_metrics_.messages_sent();
+  }
 
-  /// Per-phase wall-time metrics and message counters accumulated so far.
-  /// Phases: "compute" (synapse+neuron, first barrier), "exchange" (outbox
-  /// drain, second barrier), "commit" (canonical-order spike emission).
-  /// Counters: "messages", "message_bytes", plus the event-driven trio
-  /// "cores_visited" / "cores_skipped" (worklist visit/skip split over live
-  /// cores) and "events_delivered" (spike deliveries into delay slots).
-  /// Phase timers are empty when collect_phase_metrics is off or NSC_OBS=0;
-  /// counters are always live.
+  /// Per-phase wall-time metrics and counters accumulated so far. Phases:
+  /// "compute" (synapse+neuron, first barrier), "exchange" (outbox drain,
+  /// second barrier), "commit" (canonical-order spike emission). Counters:
+  /// the shared set (src/step/metrics.hpp). Phase timers are empty when
+  /// collect_phase_metrics is off or NSC_OBS=0; counters are always live.
   [[nodiscard]] const obs::Registry& metrics() const noexcept { return obs_; }
+
+  /// The shared counters folded into stats() and metrics() so far, as one
+  /// block (what a dist rank reports).
+  [[nodiscard]] step::StepCounters counters() const noexcept { return step_metrics_.read(stats_); }
 
   /// Wall nanoseconds each partition spent in its compute phase.
   [[nodiscard]] const std::vector<std::uint64_t>& partition_compute_ns() const noexcept {
@@ -115,7 +119,9 @@ class Simulator final : public core::Simulator {
 
   /// Load imbalance across partitions: max / mean per-partition compute
   /// time (1.0 = perfectly balanced; 0.0 when no timings were collected).
-  [[nodiscard]] double load_imbalance() const noexcept;
+  [[nodiscard]] double load_imbalance() const noexcept {
+    return compass::load_imbalance(part_compute_ns_);
+  }
 
   /// Zeroes phase timers, obs counters and per-partition compute times.
   void reset_metrics() noexcept;
@@ -184,7 +190,7 @@ class Simulator final : public core::Simulator {
 
   /// Emits every partition's staged rows for other ranks' cores as
   /// per-destination-rank word batches (shard mode; runs on the calling
-  /// thread after the local phases). Counters land in local_[0].
+  /// thread after the local phases). Its messages are counted in local_[0].
   void build_remote_batches();
 
   /// Moves the rows staged for `cores` by partitions [first, last) into
@@ -192,7 +198,8 @@ class Simulator final : public core::Simulator {
   /// ORing the partitions' rows together, and clears them.
   void drain_staged(CoreRange cores, int first, int last, std::vector<WordDelivery>& out);
 
-  /// Folds per-partition LocalStats into stats_/obs counters (run() tail).
+  /// Folds every partition's counter block into stats_ and the registry
+  /// (the tail of run() and dist_end_run()).
   void fold_local_stats();
 
   /// (Re)derives every partition's worklist and live totals from the
@@ -237,14 +244,9 @@ class Simulator final : public core::Simulator {
   std::vector<std::vector<WordDelivery>> outbox_words_;
   /// Per-partition recorded output spikes (core,neuron ascending), per tick.
   std::vector<std::vector<core::Spike>> spike_buf_;
-  /// Per-partition stats, merged after every run() to avoid false sharing.
-  struct alignas(64) LocalStats {
-    step::StepCounters step;
-    std::uint64_t messages = 0, message_bytes = 0;
-    std::uint64_t compute_ns = 0;  ///< Wall time this partition spent in phase_compute.
-  };
-  std::vector<LocalStats> local_;
-  std::uint64_t messages_ = 0;
+  /// Per-partition counter blocks, folded after every run() to avoid false
+  /// sharing.
+  std::vector<step::StepCounters> local_;
 
   /// Phase timers/counters; accumulator references resolved once at
   /// construction (Registry::reset keeps them valid).
@@ -252,12 +254,8 @@ class Simulator final : public core::Simulator {
   obs::PhaseAccum* ph_compute_ = nullptr;
   obs::PhaseAccum* ph_exchange_ = nullptr;
   obs::PhaseAccum* ph_commit_ = nullptr;
-  std::uint64_t* ctr_messages_ = nullptr;
-  std::uint64_t* ctr_message_bytes_ = nullptr;
-  std::uint64_t* ctr_cores_failed_ = nullptr;
-  std::uint64_t* ctr_links_failed_ = nullptr;
-  std::uint64_t* ctr_fault_dropped_ = nullptr;
   step::StepMetrics step_metrics_;
+  /// Wall time each partition spent in phase_compute (one add per tick).
   std::vector<std::uint64_t> part_compute_ns_;
 
   /// Event-driven worklist state (derived; rebuilt by init_activity). One

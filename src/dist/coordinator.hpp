@@ -27,6 +27,7 @@
 #include "src/dist/transport.hpp"
 #include "src/noc/route.hpp"
 #include "src/obs/obs.hpp"
+#include "src/step/metrics.hpp"
 
 namespace nsc::dist {
 
@@ -40,7 +41,10 @@ class Coordinator final : public core::Simulator {
   void run(core::Tick nticks, const core::InputSchedule* inputs, core::SpikeSink* sink) override;
   [[nodiscard]] core::Tick now() const override { return now_; }
   [[nodiscard]] const core::KernelStats& stats() const override { return stats_; }
-  void reset_stats() override { stats_.reset(); }
+  void reset_stats() override {
+    stats_.reset();
+    step_metrics_.reset_stats();
+  }
 
   /// Checkpoint stitching: every live rank serializes its shard state; the
   /// coordinator splices the shard-owned slices into one snapshot carrying
@@ -68,9 +72,10 @@ class Coordinator final : public core::Simulator {
   }
   [[nodiscard]] int live_ranks() const noexcept;
 
-  /// Aggregated counters: the compass trio (messages, message_bytes,
-  /// cores_visited/skipped, events_delivered), the fault.* set, and the
-  /// dist layer's own dist.messages / dist.bytes / dist.exchange_ns.
+  /// Aggregated counters: every rank's share of the shared set
+  /// (src/step/metrics.hpp), folded exactly as compass folds partitions,
+  /// with the fault counts owned here; plus the dist layer's own
+  /// dist.messages / dist.bytes / dist.exchange_ns / dist.heartbeats_missed.
   [[nodiscard]] const obs::Registry& metrics() const noexcept { return obs_; }
 
   /// Wall nanoseconds each rank spent computing / exchanging so far.
@@ -89,12 +94,13 @@ class Coordinator final : public core::Simulator {
   }
 
   /// Load imbalance across ranks: max / mean per-rank compute time.
-  [[nodiscard]] double load_imbalance() const noexcept;
+  [[nodiscard]] double load_imbalance() const noexcept {
+    return compass::load_imbalance(rank_compute_ns_);
+  }
 
  private:
-  void fold_report(int rank, const std::vector<std::uint8_t>& payload);
-  /// Collects one kReport from every live rank (ranks that die while we wait
-  /// are absorbed via on_rank_death).
+  /// Collects and folds one kReport from every live rank (ranks that die
+  /// while we wait are absorbed via on_rank_death).
   void collect_reports();
   void on_rank_death(int r);
   void broadcast(MsgKind kind, const void* payload, std::size_t size);
@@ -122,17 +128,9 @@ class Coordinator final : public core::Simulator {
   /// which every rank would otherwise report R times over.
   std::vector<std::uint8_t> dead_;
   noc::LinkFaultSet dead_links_;
-  std::uint64_t messages_total_ = 0;
 
   obs::Registry obs_;
-  std::uint64_t* ctr_messages_ = nullptr;
-  std::uint64_t* ctr_message_bytes_ = nullptr;
-  std::uint64_t* ctr_cores_failed_ = nullptr;
-  std::uint64_t* ctr_links_failed_ = nullptr;
-  std::uint64_t* ctr_fault_dropped_ = nullptr;
-  std::uint64_t* ctr_cores_visited_ = nullptr;
-  std::uint64_t* ctr_cores_skipped_ = nullptr;
-  std::uint64_t* ctr_events_delivered_ = nullptr;
+  step::StepMetrics step_metrics_;
   std::uint64_t* ctr_dist_messages_ = nullptr;
   std::uint64_t* ctr_dist_bytes_ = nullptr;
   std::uint64_t* ctr_dist_exchange_ns_ = nullptr;

@@ -42,11 +42,8 @@ TrueNorthSimulator::TrueNorthSimulator(const core::Network& net, SimOptions opts
   ph_inject_ = &obs_.phase("inject");
   ph_compute_ = &obs_.phase("compute");
   ph_commit_ = &obs_.phase("commit");
-  ctr_cores_failed_ = &obs_.counter("fault.cores_failed");
-  ctr_links_failed_ = &obs_.counter("fault.links_failed");
-  ctr_fault_dropped_ = &obs_.counter("fault.spikes_dropped");
-  ctr_rerouted_hops_ = &obs_.counter("fault.rerouted_hops");
   step_metrics_ = step::StepMetrics(obs_, *state_.kern);
+  ctr_rerouted_hops_ = &obs_.counter("fault.rerouted_hops");
   derive();
 }
 
@@ -113,9 +110,7 @@ void TrueNorthSimulator::run(Tick nticks, const core::InputSchedule* inputs,
       ph_commit_->add(t3 - t2);
     }
   }
-  n.add_to(stats_);
-  step_metrics_.add(n);
-  *ctr_fault_dropped_ += n.fault_dropped;
+  step_metrics_.fold(n, stats_);
 }
 
 void TrueNorthSimulator::reroute(std::size_t nid, const noc::RouteInfo& r) {
@@ -132,15 +127,14 @@ bool TrueNorthSimulator::fail_core(core::CoreId c) {
   active_.clear_core(c);
   live_ = state_.live(0, state_.ncores);
   // In-flight deliveries to the dead core die with it — counted, not silent.
-  *ctr_fault_dropped_ += *pending;
-  ++*ctr_cores_failed_;
+  step_metrics_.core_failed(*pending);
   return true;
 }
 
 bool TrueNorthSimulator::fail_link(int chip, int dir) {
   const bool failed = state_.fail_link(
       chip, dir, [this](std::size_t nid, const noc::RouteInfo& r) { reroute(nid, r); });
-  if (failed) ++*ctr_links_failed_;
+  if (failed) step_metrics_.link_failed();
   return failed;
 }
 
@@ -150,9 +144,7 @@ void TrueNorthSimulator::save_checkpoint(std::ostream& os) const {
   snap.tick = now_;
   snap.stats = stats_;
   state_.save(inst_, snap);
-  snap.set_extra("fault.cores_failed", *ctr_cores_failed_);
-  snap.set_extra("fault.links_failed", *ctr_links_failed_);
-  snap.set_extra("fault.spikes_dropped", *ctr_fault_dropped_);
+  step_metrics_.save_faults(snap);
   snap.set_extra("fault.rerouted_hops", *ctr_rerouted_hops_);
   const int chips = net_.geom.chips();
   snap.traffic_link_totals.resize(static_cast<std::size_t>(chips) * 4, 0);
@@ -173,9 +165,7 @@ void TrueNorthSimulator::load_checkpoint(std::istream& is) {
   now_ = snap.tick;
   stats_ = snap.stats;
   derive();
-  *ctr_cores_failed_ = snap.extra("fault.cores_failed");
-  *ctr_links_failed_ = snap.extra("fault.links_failed");
-  *ctr_fault_dropped_ = snap.extra("fault.spikes_dropped");
+  step_metrics_.restore(snap);
   *ctr_rerouted_hops_ = snap.extra("fault.rerouted_hops");
   traffic_.reset();
   if (!snap.traffic_link_totals.empty()) {

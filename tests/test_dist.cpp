@@ -222,6 +222,25 @@ TEST(DistCheckpoint, RestoredCountersMatchUninterruptedRun) {
   EXPECT_EQ(b.stats().ticks, want.stats.ticks);
 }
 
+// reset_stats() zeroes the message count a checkpoint saves, exactly as it
+// does on compass: a restore after a reset must not bring the old count back.
+TEST(DistCheckpoint, ResetStatsZeroesSavedMessageCount) {
+  const Network net = testsup::hard_network();
+  const InputSchedule in = testsup::hard_inputs(net, 30);
+  dist::Coordinator coord(net, {.ranks = 2, .threads_per_rank = 2});
+  coord.run(30, &in, nullptr);
+  const auto restored_messages = [&] {
+    std::stringstream snap;
+    coord.save_checkpoint(snap);
+    compass::Simulator sim(net, {.threads = 1});
+    sim.load_checkpoint(snap);
+    return sim.messages_sent();
+  };
+  ASSERT_GT(restored_messages(), 0u);  // The ranks' partitions exchanged messages.
+  coord.reset_stats();
+  EXPECT_EQ(restored_messages(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Fault campaigns and rank death. A campaign broadcast to every rank drops
 // the same spikes as single-process; a rank process dying mid-campaign

@@ -11,7 +11,7 @@
 //     tier produces.
 //
 //  2. Per-kernel property tests: each tier's sweep_badmask /
-//     accumulate_word / accumulate_row / accumulate_core checked against an
+//     accumulate_word / accumulate_core checked against an
 //     independent int64 oracle on random lanes, the int32 clamp boundaries,
 //     and the ±2^20 hot-envelope edges (where bad-mask extraction must flip
 //     on exact >= / <= equality).
@@ -283,17 +283,10 @@ TEST(KernelProperties, AccumulateWordAndRowMatchInt64Oracle) {
     for (const Isa tier : kAllTiers) {
       const Kernels& k = kernels::kernels_for(tier);
       std::int32_t a[core::kCoreSize];
-      // Per-word form.
       for (int j = 0; j < core::kCoreSize; ++j) a[j] = acc0[j];
       for (int w = 0; w < 4; ++w) k.accumulate_word(a + w * 64, wrow + w * 64, bits[w]);
       for (int j = 0; j < core::kCoreSize; ++j) {
         ASSERT_EQ(a[j], want[j]) << "word tier " << kernels::isa_name(k.isa) << " lane " << j;
-      }
-      // Whole-row form must be the identical grouping.
-      for (int j = 0; j < core::kCoreSize; ++j) a[j] = acc0[j];
-      k.accumulate_row(a, wrow, bits);
-      for (int j = 0; j < core::kCoreSize; ++j) {
-        ASSERT_EQ(a[j], want[j]) << "row tier " << kernels::isa_name(k.isa) << " lane " << j;
       }
     }
   }

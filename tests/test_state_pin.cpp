@@ -1,6 +1,7 @@
 // State pin for the per-core kernel step: every counter and every checkpoint
 // byte the step produces, recorded as constants for three golden networks on
-// tn, compass (1 and 3 threads) and replica (2 replicas, 2 threads).
+// tn, compass (1 and 3 threads) and replica (2 replicas, 2 threads); and the
+// dist coordinator, whose folded rank reports must equal compass's counters.
 //
 // The spike-stream gates (golden trace hashes, the differential fuzz) cannot
 // see an accounting slip: a SOP counted twice, a dispatch counted under the
@@ -20,8 +21,13 @@
 #include "src/core/aer.hpp"
 #include "src/core/input_schedule.hpp"
 #include "src/core/network_io.hpp"
+#include "src/dist/coordinator.hpp"
 #include "src/replica/batch.hpp"
 #include "src/tn/chip_sim.hpp"
+
+// Rank processes are forked from the test binary; under TSan the default
+// die_after_fork=1 would abort them before they ever reach rank_main.
+extern "C" const char* __tsan_default_options() { return "die_after_fork=0"; }
 
 namespace nsc {
 namespace {
@@ -562,6 +568,31 @@ TEST(StatePin, TrueNorth) { expect_pins(collect_tn(), kTrueNorth); }
 TEST(StatePin, CompassOneThread) { expect_pins(collect_compass(1), kCompass1); }
 TEST(StatePin, CompassThreeThreads) { expect_pins(collect_compass(3), kCompass3); }
 TEST(StatePin, Replica) { expect_pins(collect_replica(), kReplica); }
+
+// The coordinator folds its ranks' reports exactly as compass folds
+// partitions, so at any rank count it reports compass's shared counters.
+TEST(StatePin, DistReportsCompassCounters) {
+  std::vector<std::string> names = {"cores_visited", "cores_skipped", "events_delivered"};
+  for (const std::string& n : kernel_counter_names()) names.push_back(n);
+  for (const Fixture& fx : kFixtures) {
+    if (fx.aer != nullptr) continue;  // Self-driven fixtures only: no faults.
+    const core::Network net = core::load_network(data_path(fx.net));
+    compass::Simulator want(net, {.threads = 1});
+    want.run(kTicks, nullptr, nullptr);
+    Pins want_pins;
+    pin_stats(want_pins, fx.name, want.stats());
+    pin_counters(want_pins, fx.name, want.metrics(), names);
+    for (const int ranks : {2, 3}) {
+      SCOPED_TRACE(std::string(fx.name) + " at " + std::to_string(ranks) + " ranks");
+      dist::Coordinator coord(net, {.ranks = ranks, .threads_per_rank = 1});
+      coord.run(kTicks, nullptr, nullptr);
+      Pins got;
+      pin_stats(got, fx.name, coord.stats());
+      pin_counters(got, fx.name, coord.metrics(), names);
+      expect_pins(got, want_pins);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace nsc
