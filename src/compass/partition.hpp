@@ -13,17 +13,12 @@
 #include <vector>
 
 #include "src/core/network.hpp"
+#include "src/step/core_state.hpp"
 
 namespace nsc::compass {
 
 /// Half-open range of cores owned by one simulated process.
-struct CoreRange {
-  core::CoreId begin = 0;
-  core::CoreId end = 0;
-
-  [[nodiscard]] int size() const noexcept { return static_cast<int>(end - begin); }
-  [[nodiscard]] bool contains(core::CoreId c) const noexcept { return c >= begin && c < end; }
-};
+using CoreRange = step::CoreRange;
 
 /// Splits the network's cores into `parts` contiguous ranges with near-equal
 /// estimated load. Always returns exactly `parts` ranges (possibly empty

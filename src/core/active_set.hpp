@@ -28,9 +28,8 @@
 namespace nsc::core {
 
 /// Event/restless bitmaps for the contiguous core range [begin, end).
-/// Compass instantiates one per partition (partition boundaries are not
-/// 64-aligned, so sharing words across threads would race); the TrueNorth
-/// expression uses a single instance over the whole chip array.
+/// step::TickDriver keeps one per partition (partition boundaries are not
+/// 64-aligned, so sharing words across threads would race).
 class ActiveSet {
  public:
   ActiveSet() = default;

@@ -9,6 +9,7 @@
 #include "src/compass/partition.hpp"
 #include "src/compass/simulator.hpp"
 #include "src/core/input_schedule.hpp"
+#include "src/core/spike_sink.hpp"
 #include "src/dist/protocol.hpp"
 #include "src/ipc/byte_stream.hpp"
 #include "src/ipc/endpoint.hpp"
@@ -85,7 +86,7 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
   std::vector<ipc::Frame> in;
   std::vector<int> newly_dead;
   std::vector<WordDelivery> words_in;
-  std::vector<core::Spike> spikes;
+  core::VectorSink spikes;
   std::vector<std::uint8_t> tick_payload;
   // Peer exchange gets half the coordinator's deadline: a rank stalled on a
   // hung peer must unwedge itself (degrading the peer) before its own
@@ -102,7 +103,7 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
   for (core::Tick i = 0; i < nticks; ++i) {
     const core::Tick t = start + i;
     fire_tick_hooks(cfg, rank, 0, t);
-    sim.dist_tick(t, &inputs, record);
+    sim.dist_tick(t, &inputs, record ? &spikes : nullptr);
     fire_tick_hooks(cfg, rank, 1, t);
 
     // Exchange: exactly one kSpikeBatch per live peer, both directions,
@@ -144,7 +145,6 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       st.wire_dropped += batch_bits[static_cast<std::size_t>(r)];
       on_peer_death(st, r);
     }
-    sim.dist_clear_outgoing();
     st.next.exchange_ns += obs::now_ns() - x0;
     fire_tick_hooks(cfg, rank, 2, t);
 
@@ -155,13 +155,12 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       last_hb = obs::now_ns();
     }
     if (record) {
-      spikes.clear();
-      sim.dist_drain_spikes(spikes);
       tick_payload.clear();
       ipc::put_pod(tick_payload, static_cast<std::int64_t>(t));
-      ipc::put_pod(tick_payload, static_cast<std::uint32_t>(spikes.size()));
+      ipc::put_pod(tick_payload, static_cast<std::uint32_t>(spikes.spikes().size()));
       ipc::put_pod(tick_payload, std::uint32_t{0});
-      ipc::put_pod_array(tick_payload, spikes.data(), spikes.size());
+      ipc::put_pod_array(tick_payload, spikes.spikes().data(), spikes.spikes().size());
+      spikes.clear();
       if (!parent.send_frame(static_cast<std::uint32_t>(MsgKind::kTickSpikes),
                              tick_payload.data(), tick_payload.size())) {
         return false;

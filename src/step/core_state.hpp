@@ -50,6 +50,15 @@ struct Instance {
   }
 };
 
+/// Half-open range of cores: one partition, or one dist rank's shard.
+struct CoreRange {
+  core::CoreId begin = 0;
+  core::CoreId end = 0;
+
+  [[nodiscard]] int size() const noexcept { return static_cast<int>(end - begin); }
+  [[nodiscard]] bool contains(core::CoreId c) const noexcept { return c >= begin && c < end; }
+};
+
 /// Live cores and enabled neurons on them, over a core range.
 struct Live {
   std::uint64_t cores = 0;

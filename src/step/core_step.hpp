@@ -44,6 +44,12 @@ namespace nsc::step {
 /// One core visit's totals (tn's per-tick critical-path maxima).
 struct Visit {
   std::uint64_t sops = 0, axons = 0, spikes = 0;
+  /// Raises each total to at least `v`'s.
+  void widen(const Visit& v) noexcept {
+    sops = std::max(sops, v.sops);
+    axons = std::max(axons, v.axons);
+    spikes = std::max(spikes, v.spikes);
+  }
 };
 
 /// One instance's tick t on the shared kernel, with spikes handed to

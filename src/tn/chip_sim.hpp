@@ -15,23 +15,21 @@
 // the paper's power, GSOPS and GSOPS/W numbers.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "src/core/active_set.hpp"
 #include "src/core/input_schedule.hpp"
 #include "src/core/network.hpp"
 #include "src/noc/route.hpp"
 #include "src/noc/traffic.hpp"
 #include "src/obs/obs.hpp"
-#include "src/step/core_step.hpp"
+#include "src/step/tick_driver.hpp"
 
 namespace nsc::tn {
 
 struct SimOptions {
-  /// Runtime toggle for the per-phase wall-time metrics (four monotonic
-  /// clock reads per tick; spike output is identical either way). NSC_OBS=0
-  /// compiles the instrumentation out regardless of this flag.
+  /// Runtime toggle for the per-phase wall-time metrics (a handful of
+  /// monotonic clock reads per tick; spike output is identical either way).
+  /// NSC_OBS=0 compiles the instrumentation out regardless of this flag.
   bool collect_phase_metrics = true;
 };
 
@@ -73,13 +71,13 @@ class TrueNorthSimulator final : public core::Simulator {
   /// Inter-chip merge–split traffic (meaningful when geometry has >1 chip).
   [[nodiscard]] const noc::InterChipTraffic& traffic() const noexcept { return traffic_; }
 
-  /// Per-phase wall-time metrics accumulated so far. Phases: "inject"
-  /// (external input application), "compute" (the event-driven core array
-  /// walk: synapse + neuron + routing), "commit" (traffic epoch close and
-  /// sink tick boundary). Counters: the shared set (src/step/metrics.hpp;
-  /// "messages" and "message_bytes" stay zero on the chip) plus
-  /// "fault.rerouted_hops". Phase timers are empty when collect_phase_metrics
-  /// is off or NSC_OBS=0; counters are always live.
+  /// Per-phase wall-time metrics accumulated so far. Phases: the tick
+  /// driver's "inject", "compute" (the core array walk: synapse + neuron +
+  /// routing), "exchange" (empty on one partition) and "commit" (traffic
+  /// epoch close, spikes to the sink). Counters: the shared set
+  /// (src/step/metrics.hpp; "messages" and "message_bytes" stay zero on the
+  /// chip) plus "fault.rerouted_hops". Phase timers are empty when
+  /// collect_phase_metrics is off or NSC_OBS=0; counters are always live.
   [[nodiscard]] const obs::Registry& metrics() const noexcept { return obs_; }
 
   /// Zeroes the phase timers.
@@ -103,14 +101,14 @@ class TrueNorthSimulator final : public core::Simulator {
 
  private:
   struct Deliver;
+  struct Backend;
 
-  /// Seeds the worklist and live totals from the current state and
-  /// precomputes the route of every deliverable target (hops + crossings);
+  /// Precomputes the route of every deliverable target (hops + crossings);
   /// at construction and after a restore. A target no detour reaches while
   /// no runtime fault exists is a deployment error: its spikes are still
   /// delivered function-level so the kernel expressions stay 1:1, with
   /// Manhattan hop accounting, and unreachable_targets() counts it.
-  void derive();
+  void derive_routes();
 
   /// A surviving target's new route after a fault; detour growth is added
   /// to fault.rerouted_hops.
@@ -122,19 +120,16 @@ class TrueNorthSimulator final : public core::Simulator {
   core::KernelStats stats_;
   noc::InterChipTraffic traffic_;
 
-  /// Phase timers; accumulator references resolved once at construction
-  /// (Registry::reset keeps them valid).
+  /// Phase timers and counters (Registry::reset keeps resolved references
+  /// valid).
   obs::Registry obs_;
-  obs::PhaseAccum* ph_inject_ = nullptr;
-  obs::PhaseAccum* ph_compute_ = nullptr;
-  obs::PhaseAccum* ph_commit_ = nullptr;
   std::uint64_t* ctr_rerouted_hops_ = nullptr;
   step::StepMetrics step_metrics_;
 
   step::CoreState state_;
   step::Instance inst_;
-  core::ActiveSet active_;
-  step::Live live_;
+  /// The whole chip as one partition: worklist, counter block, spike buffer.
+  step::TickDriver driver_;
   /// Route of each neuron's (static) target: hops + crossings.
   std::vector<noc::RouteInfo> route_;
   std::uint64_t unreachable_targets_ = 0;

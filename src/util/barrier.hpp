@@ -1,4 +1,4 @@
-// Synchronization barrier for the Compass semi-synchronous simulation loop.
+// Synchronization barrier for the tick driver's semi-synchronous loop.
 //
 // The paper's kernel advances all threads through a barrier at the end of
 // every simulated time step (Listing 1, line 21). A sense-reversing spinning
@@ -37,8 +37,6 @@ class SpinBarrier {
       }
     }
   }
-
-  [[nodiscard]] int participants() const noexcept { return participants_; }
 
  private:
   static constexpr int kSpinLimit = 1024;

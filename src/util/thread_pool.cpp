@@ -1,8 +1,18 @@
 #include "src/util/thread_pool.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cassert>
 
 namespace nsc::util {
+
+int usable_cpus() noexcept {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) return std::max(1, CPU_COUNT(&set));
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
 ThreadPool::ThreadPool(int n) : n_(n) {
   assert(n >= 1);

@@ -1,4 +1,4 @@
-// Minimal persistent thread pool used by the Compass simulator.
+// Minimal persistent thread pool used by the tick driver and replica.
 //
 // Workers are created once and reused for every simulated tick; the
 // alternative (spawning threads per tick) would dominate run time at the
@@ -12,6 +12,10 @@
 #include <vector>
 
 namespace nsc::util {
+
+/// CPUs this process may run on: its affinity mask's count, or the online
+/// CPUs (hardware_concurrency) if sched_getaffinity fails. At least 1.
+[[nodiscard]] int usable_cpus() noexcept;
 
 class ThreadPool {
  public:

@@ -390,5 +390,36 @@ TEST(ObsMetrics, TrueNorthCollectsPhaseTimings) {
   EXPECT_EQ(m.find_phase("compute")->calls, 0u);
 }
 
+// One phase vocabulary (step::TickDriver): every driven backend times the
+// same four phases once per tick, without a sink and with one.
+TEST(ObsMetrics, EveryDrivenBackendReportsTheFourPhasesPerTick) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with NSC_OBS=0";
+  const Network net = obs_test_net();
+  tn::TrueNorthSimulator tn_sim(net);
+  compass::Simulator one(net, {.threads = 1});
+  compass::Simulator three(net, {.threads = 3});
+  const struct {
+    const char* name;
+    core::Simulator* sim;
+    const Registry* reg;
+  } cases[] = {{"tn", &tn_sim, &tn_sim.metrics()},
+               {"compass@1", &one, &one.metrics()},
+               {"compass@3", &three, &three.metrics()}};
+  const auto expect_calls = [](const char* name, const Registry& reg, std::uint64_t ticks) {
+    for (const char* phase : {"inject", "compute", "exchange", "commit"}) {
+      const PhaseAccum* acc = reg.find_phase(phase);
+      ASSERT_NE(acc, nullptr) << name << " lacks " << phase;
+      EXPECT_EQ(acc->calls, ticks) << name << " " << phase;
+    }
+  };
+  VectorSink sink;
+  for (const auto& c : cases) {
+    c.sim->run(20, nullptr, nullptr);
+    expect_calls(c.name, *c.reg, 20);
+    c.sim->run(15, nullptr, &sink);
+    expect_calls(c.name, *c.reg, 35);
+  }
+}
+
 }  // namespace
 }  // namespace nsc

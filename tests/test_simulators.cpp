@@ -213,6 +213,15 @@ TEST(CompassSim, PartitionsCoverAllCoresContiguously) {
   EXPECT_EQ(cursor, static_cast<CoreId>(net.geom.total_cores()));
 }
 
+TEST(CompassSim, RejectsThreadCountBelowOne) {
+  // A driver with no partitions would silently simulate nothing.
+  const Network net = make_relay(1);
+  for (const int threads : {0, -1}) {
+    EXPECT_THROW(compass::Simulator(net, {.threads = threads}), std::invalid_argument)
+        << "threads=" << threads;
+  }
+}
+
 TEST(Partition, BalancesLoadOnUniformNetwork) {
   netgen::RecurrentSpec spec;
   spec.geom = Geometry{1, 1, 8, 8};

@@ -1,7 +1,8 @@
 // State pin for the per-core kernel step: every counter and every checkpoint
 // byte the step produces, recorded as constants for three golden networks on
-// tn, compass (1 and 3 threads) and replica (2 replicas, 2 threads); and the
-// dist coordinator, whose folded rank reports must equal compass's counters.
+// tn, compass (1 and 3 threads) and replica (2 replicas, 2 threads); the
+// dist coordinator, whose folded rank reports must equal compass's counters;
+// and the tick driver's serial loop, which must reproduce its pooled loop.
 //
 // The spike-stream gates (golden trace hashes, the differential fuzz) cannot
 // see an accounting slip: a SOP counted twice, a dispatch counted under the
@@ -10,8 +11,10 @@
 // between the backends (src/step/), so a change in any of them is a change
 // in behaviour, not a refactor.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,6 +24,7 @@
 #include "src/core/aer.hpp"
 #include "src/core/input_schedule.hpp"
 #include "src/core/network_io.hpp"
+#include "src/core/spike_sink.hpp"
 #include "src/dist/coordinator.hpp"
 #include "src/replica/batch.hpp"
 #include "src/tn/chip_sim.hpp"
@@ -592,6 +596,79 @@ TEST(StatePin, DistReportsCompassCounters) {
       expect_pins(got, want_pins);
     }
   }
+}
+
+// The tick driver's serial loop at more than one partition. It runs when the
+// process may use one CPU, which no CI runner offers, so this test pins its
+// own thread to one CPU of its mask; the rank processes it forks inherit the
+// pin. Pinned, compass at 3 threads and dist at 2 ranks x 2 threads must
+// reproduce the golden hashes and every count of the same runs unpinned.
+
+/// Threads in this process: the Threads: line of /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  int n = -1;
+  while (status >> key) {
+    if (key == "Threads:") status >> n;
+  }
+  return n;
+}
+
+/// Restores the calling thread's CPU mask when it leaves scope.
+struct MaskRestore {
+  cpu_set_t mask;
+  ~MaskRestore() { sched_setaffinity(0, sizeof mask, &mask); }
+};
+
+Pins run_golden(bool pinned) {
+  constexpr core::Tick kGoldenTicks = 60;  // docs/PERFORMANCE.md §5.
+  const struct {
+    const Fixture& fx;
+    std::uint64_t hash;
+  } cases[] = {{kFixtures[0], 0x33c8551d440c0720ULL}, {kFixtures[2], 0x9293fd59cfb54800ULL}};
+  const std::vector<std::string> names = {"messages", "message_bytes"};
+  Pins out;
+  for (const auto& [fx, hash] : cases) {
+    const core::Network net = core::load_network(data_path(fx.net));
+    const core::InputSchedule in = load_inputs(fx);
+    {
+      // Scoped: its pool threads must be gone before the coordinator forks.
+      const int threads_before = process_threads();
+      compass::Simulator sim(net, {.threads = 3});
+      if (pinned) EXPECT_EQ(process_threads(), threads_before) << "serial loop started a thread";
+      core::VectorSink compass_spikes;
+      sim.run(kGoldenTicks, &in, &compass_spikes);
+      EXPECT_EQ(core::trace_hash(compass_spikes.spikes()), hash) << fx.name;
+      pin_stats(out, std::string("compass.") + fx.name, sim.stats());
+      pin_counters(out, std::string("compass.") + fx.name, sim.metrics(), names);
+    }
+    dist::Coordinator coord(net, {.ranks = 2, .threads_per_rank = 2});
+    core::VectorSink dist_spikes;
+    coord.run(kGoldenTicks, &in, &dist_spikes);
+    EXPECT_EQ(core::trace_hash(dist_spikes.spikes()), hash) << fx.name;
+    pin_stats(out, std::string("dist.") + fx.name, coord.stats());
+    pin_counters(out, std::string("dist.") + fx.name, coord.metrics(), names);
+  }
+  return out;
+}
+
+TEST(SerialLoop, OneCpuReproducesThePooledRuns) {
+  const Pins pooled = run_golden(false);
+  MaskRestore restore{};
+  if (sched_getaffinity(0, sizeof restore.mask, &restore.mask) != 0) {
+    GTEST_SKIP() << "sched_getaffinity failed";
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &restore.mask)) {
+      CPU_SET(c, &one);
+      break;
+    }
+  }
+  if (sched_setaffinity(0, sizeof one, &one) != 0) GTEST_SKIP() << "sched_setaffinity failed";
+  expect_pins(run_golden(true), pooled);
 }
 
 }  // namespace
