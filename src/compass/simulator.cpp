@@ -132,7 +132,7 @@ Simulator::Simulator(const core::Network& net, Config cfg)
       outbox_words_(static_cast<std::size_t>(cfg.threads) * static_cast<std::size_t>(cfg.threads)),
       driver_(state_, inst_,
               partition_range(net, rank_shards_[static_cast<std::size_t>(cfg.rank)], cfg.threads),
-              obs_, cfg.collect_phase_metrics) {
+              obs_) {
   step_metrics_ = step::StepMetrics(obs_, *state_.kern);
   const auto ncores = static_cast<CoreId>(net.geom.total_cores());
   owner_.assign(static_cast<std::size_t>(ncores), -1);

@@ -33,10 +33,6 @@ namespace nsc::compass {
 struct Config {
   int threads = 1;                 ///< Simulated processes (>= 1).
   bool aggregate_messages = true;  ///< Ablation: false = one message per spike.
-  /// Runtime toggle for the per-phase wall-time metrics (a handful of
-  /// monotonic-clock reads per tick; spike output is identical either way).
-  /// NSC_OBS=0 compiles the instrumentation out regardless of this flag.
-  bool collect_phase_metrics = true;
   /// Shard mode (src/dist/): this simulator owns rank `rank` of a
   /// `ranks`-way balanced split and only computes its own core range.
   /// Spikes bound for other ranks are staged and emitted as
@@ -96,8 +92,8 @@ class Simulator final : public core::Simulator {
   /// the tick driver's "inject", "compute" (synapse+neuron, outbox emission),
   /// "exchange" (outbox drain) and "commit" (canonical-order spike emission;
   /// the remote batches in shard mode). Counters: the shared set
-  /// (src/step/metrics.hpp). Phase timers are empty when
-  /// collect_phase_metrics is off or NSC_OBS=0; counters are always live.
+  /// (src/step/metrics.hpp). Phase timers are empty when built with
+  /// NSC_OBS=0; counters are always live.
   [[nodiscard]] const obs::Registry& metrics() const noexcept { return obs_; }
 
   /// The shared counters folded into stats() and metrics() so far, as one

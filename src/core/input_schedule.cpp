@@ -6,28 +6,30 @@
 namespace nsc::core {
 
 void InputSchedule::finalize() {
-  if (finalized_) return;
-  std::sort(events_.begin(), events_.end());
-  events_.erase(std::unique(events_.begin(), events_.end()), events_.end());
-  const Tick last = events_.empty() ? -1 : events_.back().tick;
-  assert(events_.empty() || events_.front().tick >= 0);
-  offsets_.assign(static_cast<std::size_t>(last + 2), 0);
-  // Counting sort of offsets: offsets_[t] = first event index at tick >= t.
-  std::size_t e = 0;
-  for (Tick t = 0; t <= last; ++t) {
-    offsets_[static_cast<std::size_t>(t)] = e;
-    while (e < events_.size() && events_[e].tick == t) ++e;
+  if (sorted_ == events_.size()) return;
+  const auto added = events_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::sort(added, events_.end());
+  // Deduplicate from the old tail on, or from the front after a merge.
+  auto from = added;
+  if (sorted_ > 0) {
+    from = added - 1;
+    if (*added < *from) {
+      std::inplace_merge(events_.begin(), added, events_.end());
+      from = events_.begin();
+    }
   }
-  offsets_[static_cast<std::size_t>(last + 1)] = events_.size();
-  finalized_ = true;
+  events_.erase(std::unique(from, events_.end()), events_.end());
+  sorted_ = events_.size();
 }
 
 std::span<const InputSpike> InputSchedule::at(Tick tick) const {
-  assert(finalized_);
-  if (tick < 0 || static_cast<std::size_t>(tick) + 1 >= offsets_.size()) return {};
-  const std::size_t b = offsets_[static_cast<std::size_t>(tick)];
-  const std::size_t f = offsets_[static_cast<std::size_t>(tick) + 1];
-  return {events_.data() + b, f - b};
+  assert(sorted_ == events_.size());
+  struct ByTick {
+    bool operator()(const InputSpike& s, Tick t) const { return s.tick < t; }
+    bool operator()(Tick t, const InputSpike& s) const { return t < s.tick; }
+  };
+  const auto [first, last] = std::equal_range(events_.begin(), events_.end(), tick, ByTick{});
+  return {first, last};
 }
 
 Tick InputSchedule::last_tick() const noexcept {

@@ -26,12 +26,12 @@ constexpr int kDelaySlots = core::kMaxDelay + 1;
 }
 
 Coordinator::Coordinator(const core::Network& net, Config cfg)
-    : net_(net), cfg_(cfg), dead_links_(net.geom.chips()) {
-  if (cfg.ranks < 1) throw std::invalid_argument("dist: ranks must be >= 1");
-  if (cfg.threads_per_rank < 1) {
+    : net_(net), cfg_(std::move(cfg)), dead_links_(net.geom.chips()) {
+  if (cfg_.ranks < 1) throw std::invalid_argument("dist: ranks must be >= 1");
+  if (cfg_.threads_per_rank < 1) {
     throw std::invalid_argument("dist: threads_per_rank must be >= 1");
   }
-  shards_ = compass::partition_balanced(net, cfg.ranks);
+  shards_ = compass::partition_balanced(net, cfg_.ranks);
 
   // Rank processes are forks of this one, so they dispatch to the same tier.
   step_metrics_ = step::StepMetrics(obs_, kernels::select_kernels());
@@ -45,20 +45,20 @@ Coordinator::Coordinator(const core::Network& net, Config cfg)
   for (std::size_t c = 0; c < ncores; ++c) {
     if (net.core(static_cast<CoreId>(c)).disabled != 0) dead_[c] = 1;
   }
-  rank_compute_ns_.assign(static_cast<std::size_t>(cfg.ranks), 0);
-  rank_exchange_ns_.assign(static_cast<std::size_t>(cfg.ranks), 0);
-  rank_work_.assign(static_cast<std::size_t>(cfg.ranks), 0);
+  rank_compute_ns_.assign(static_cast<std::size_t>(cfg_.ranks), 0);
+  rank_exchange_ns_.assign(static_cast<std::size_t>(cfg_.ranks), 0);
+  rank_work_.assign(static_cast<std::size_t>(cfg_.ranks), 0);
 
-  Spawned s = spawn_ranks(cfg.ranks);
+  Spawned s = spawn_ranks(cfg_.ranks);
   if (s.is_child()) {
     // Rank process: run the command loop, then leave without unwinding into
     // the caller's world (no atexit handlers, no test-framework teardown).
-    util::exit_process_nounwind(rank_main(net, cfg, std::move(s)));
+    util::exit_process_nounwind(rank_main(net, cfg_, std::move(s)));
   }
   to_rank_ = std::move(s.to_rank);
   pids_ = std::move(s.pids);
-  alive_.assign(static_cast<std::size_t>(cfg.ranks), 1);
-  stopped_.assign(static_cast<std::size_t>(cfg.ranks), 0);
+  alive_.assign(static_cast<std::size_t>(cfg_.ranks), 1);
+  stopped_.assign(static_cast<std::size_t>(cfg_.ranks), 0);
 }
 
 Coordinator::~Coordinator() {

@@ -57,20 +57,15 @@ void on_peer_death(RankState& st, int peer) {
   for (core::CoreId c = r.begin; c < r.end; ++c) st.sim->fail_core(c);
 }
 
-/// True when the fault-injection hooks of `cfg` apply to this incarnation
-/// of the rank fleet (the Supervisor bumps `incarnation` on respawn, so a
-/// one-shot failure cannot refire after the rollback replays its tick).
-bool hooks_armed(const Config& cfg) {
-  return cfg.hook_incarnation < 0 || cfg.hook_incarnation == cfg.incarnation;
-}
-
-/// Fires the per-tick failure hooks configured for (phase, tick) — suicide,
-/// second suicide, and hang. Never returns if a hook fires.
-void fire_tick_hooks(const Config& cfg, int rank, int phase, core::Tick t) {
-  if (!hooks_armed(cfg) || phase != cfg.suicide_phase) return;
-  if (rank == cfg.suicide_rank && t == cfg.suicide_tick) util::exit_process_nounwind(3);
-  if (rank == cfg.suicide2_rank && t == cfg.suicide2_tick) util::exit_process_nounwind(3);
-  if (rank == cfg.hang_rank && t == cfg.hang_tick) ipc::wedge_forever();
+/// Fires the scripted faults of `cfg` due for `rank` at `when` and `at` (a
+/// tick, or the kSave count) in this incarnation. Never returns if one fires.
+void fire_faults(const Config& cfg, int rank, RankFault::When when, core::Tick at) {
+  for (const RankFault& f : cfg.faults) {
+    if (f.rank != rank || f.when != when || f.at != at) continue;
+    if (f.incarnation >= 0 && f.incarnation != cfg.incarnation) continue;
+    if (f.action == RankFault::Action::kWedge) ipc::wedge_forever();
+    util::exit_process_nounwind(3);
+  }
 }
 
 /// One run segment: nticks of dist_tick + peer exchange (+ per-tick spike
@@ -102,9 +97,9 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
   std::uint64_t last_hb = obs::now_ns();
   for (core::Tick i = 0; i < nticks; ++i) {
     const core::Tick t = start + i;
-    fire_tick_hooks(cfg, rank, 0, t);
+    fire_faults(cfg, rank, RankFault::When::kPreCompute, t);
     sim.dist_tick(t, &inputs, record ? &spikes : nullptr);
-    fire_tick_hooks(cfg, rank, 1, t);
+    fire_faults(cfg, rank, RankFault::When::kPostCompute, t);
 
     // Exchange: exactly one kSpikeBatch per live peer, both directions,
     // poll-driven. Peers consume tick-t batches before computing t+1 (axonal
@@ -146,7 +141,7 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
       on_peer_death(st, r);
     }
     st.next.exchange_ns += obs::now_ns() - x0;
-    fire_tick_hooks(cfg, rank, 2, t);
+    fire_faults(cfg, rank, RankFault::When::kPostExchange, t);
 
     if (heartbeats && obs::now_ns() - last_hb >= hb_interval_ns) {
       if (!parent.send_frame(static_cast<std::uint32_t>(MsgKind::kHeartbeat), nullptr, 0)) {
@@ -177,7 +172,6 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
   const int rank = spawned.rank;
   compass::Config scfg;
   scfg.threads = cfg.threads_per_rank;
-  scfg.collect_phase_metrics = cfg.collect_phase_metrics;
   scfg.rank = rank;
   scfg.ranks = cfg.ranks;
   compass::Simulator sim(net, scfg);
@@ -225,11 +219,7 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
         break;
       }
       case MsgKind::kSave: {
-        ++saves_seen;
-        if (hooks_armed(cfg) && rank == cfg.die_on_save_rank &&
-            saves_seen == cfg.die_on_save_seq) {
-          util::exit_process_nounwind(3);  // Death mid-checkpoint-collection.
-        }
+        fire_faults(cfg, rank, RankFault::When::kSave, ++saves_seen);
         std::ostringstream os(std::ios::binary);
         sim.save_checkpoint(os);
         const std::string blob = os.str();

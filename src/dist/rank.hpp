@@ -4,43 +4,44 @@
 // (docs/DISTRIBUTED.md).
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "src/core/network.hpp"
 #include "src/core/types.hpp"
 #include "src/dist/transport.hpp"
 
 namespace nsc::dist {
 
+/// A scripted rank fault: rank `rank` exits with status 3 or wedges when it
+/// reaches `at`, in incarnation `incarnation` of the fleet. It is the only way
+/// to kill a rank inside a tick or while a checkpoint is collected:
+/// Simulator::fail_rank's signals land between commands. Peers and the
+/// coordinator see an exit as EOF and degrade via the fail_core accounting; a
+/// wedged rank keeps its fds open, so only a deadline detects it.
+struct RankFault {
+  enum class When : std::uint8_t {
+    kPreCompute,    ///< Tick `at`, before its compute.
+    kPostCompute,   ///< Tick `at`, before the peer exchange.
+    kPostExchange,  ///< Tick `at`, before its spikes reach the coordinator.
+    kSave,          ///< On receiving the `at`-th kSave (from 1).
+  };
+  enum class Action : std::uint8_t { kExit, kWedge };
+
+  int rank = 0;
+  When when = When::kPreCompute;
+  core::Tick at = 0;
+  Action action = Action::kExit;
+  /// -1 = every incarnation. The Supervisor bumps Config::incarnation on each
+  /// respawn, so a tick-T fault does not refire after rolling back past T.
+  int incarnation = 0;
+};
+
 /// Shared coordinator/rank configuration (the fork inherits it by value).
 struct Config {
   int ranks = 2;              ///< Rank processes to fork (>= 1).
   int threads_per_rank = 1;   ///< Compass partitions (threads) inside each rank.
-  bool collect_phase_metrics = true;
-  /// Fault-injection test hook: rank `suicide_rank` exits with status 3
-  /// immediately before computing tick `suicide_tick` (-1 = never). Models
-  /// a node loss mid-run; peers and the coordinator observe the death as
-  /// EOF and degrade via the fail_core accounting instead of hanging.
-  int suicide_rank = -1;
-  core::Tick suicide_tick = -1;
-  /// Tick phase at which the suicide/suicide2/hang hooks fire: 0 =
-  /// pre-compute, 1 = post-compute (before the peer exchange), 2 =
-  /// post-exchange (before the recorded spikes reach the coordinator).
-  int suicide_phase = 0;
-  /// Second independent failure for double-failure-in-one-recovery-window
-  /// tests (same exit-3 semantics as the first).
-  int suicide2_rank = -1;
-  core::Tick suicide2_tick = -1;
-  /// Hang hook: the rank wedges forever (fds stay open, so peers see
-  /// silence rather than EOF) — only a deadline can detect it.
-  int hang_rank = -1;
-  core::Tick hang_tick = -1;
-  /// Checkpoint-time death: rank `die_on_save_rank` exits on receiving its
-  /// `die_on_save_seq`-th kSave command (kills recovery-image collection).
-  int die_on_save_rank = -1;
-  int die_on_save_seq = 1;
-  /// All hooks above fire only when `hook_incarnation` matches `incarnation`
-  /// (-1 = every incarnation). The Supervisor bumps `incarnation` on each
-  /// respawn, so a tick-T suicide does not refire after rolling back past T.
-  int hook_incarnation = 0;
+  std::vector<RankFault> faults{};
   int incarnation = 0;
   /// Failure-detection deadline: declare a silent rank hung (and kill it)
   /// after this many ms without bytes or heartbeats. 0 = disabled — waits

@@ -15,6 +15,10 @@ using core::Tick;
 
 namespace {
 
+/// Backoff before respawn i: kBackoffMs << i ms, at most kBackoffCapMs.
+constexpr int kBackoffMs = 5;
+constexpr int kBackoffCapMs = 2000;
+
 /// Per-segment output buffer: spikes and tick-end marks are replayed to the
 /// user sink only after the segment is known good, and only for ticks at or
 /// past the committed watermark — a rollback replays the pre-fault prefix
@@ -51,14 +55,11 @@ class BufferSink final : public core::SpikeSink {
 }  // namespace
 
 Supervisor::Supervisor(const core::Network& net, Config cfg, SupervisorConfig scfg)
-    : net_(net), cfg_(cfg), scfg_(scfg) {
+    : net_(net), cfg_(std::move(cfg)), scfg_(scfg) {
   if (scfg.recovery_interval < 1) {
     throw std::invalid_argument("dist: recovery_interval must be >= 1");
   }
   if (scfg.max_respawns < 0) throw std::invalid_argument("dist: max_respawns must be >= 0");
-  if (scfg.backoff_base_ms < 0) {
-    throw std::invalid_argument("dist: backoff_base_ms must be >= 0");
-  }
   ctr_respawned_ = &own_.counter("dist.ranks_respawned");
   ctr_recovery_ns_ = &own_.counter("dist.recovery_ns");
   ctr_rollback_ticks_ = &own_.counter("dist.rollback_ticks");
@@ -137,11 +138,9 @@ bool Supervisor::recover(Tick planned_end) {
   // the replay).
   own_.counter("dist.heartbeats_missed") +=
       coord_->metrics().counter_value("dist.heartbeats_missed");
-  if (scfg_.backoff_base_ms > 0) {
-    const int shift = std::min(respawns_done_, 10);
-    const int delay = std::min(scfg_.backoff_base_ms << shift, 2000);
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-  }
+  const int shift = std::min(respawns_done_, 10);
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(std::min(kBackoffMs << shift, kBackoffCapMs)));
   ++respawns_done_;
   ++incarnation_;
   cfg_.incarnation = incarnation_;

@@ -14,11 +14,12 @@
 // never double-emitted and the recovered trace is spike-for-spike identical
 // to a fault-free run.
 //
-// Respawns draw from a bounded budget with exponential backoff; exhausting
-// it (or failing with no valid image) permanently degrades to the plain
-// Coordinator: a completed-but-degraded segment flushes as-is (the dead
-// shard's cores fail, its spikes drop and are counted), and a mid-segment
-// hang surfaces as RankTimeout, never a wedge.
+// Respawns draw from a bounded budget with exponential backoff (5 ms before
+// the first, doubling, at most 2 s); exhausting it (or failing with no valid
+// image) permanently degrades to the plain Coordinator: a completed-but-
+// degraded segment flushes as-is (the dead shard's cores fail, its spikes drop
+// and are counted), and a mid-segment hang surfaces as RankTimeout, never a
+// wedge.
 #pragma once
 
 #include <memory>
@@ -35,7 +36,6 @@ namespace nsc::dist {
 struct SupervisorConfig {
   core::Tick recovery_interval = 32;  ///< K: shadow-checkpoint period (ticks).
   int max_respawns = 3;               ///< Fleet-respawn budget for the whole run.
-  int backoff_base_ms = 5;            ///< Backoff before respawn i is base << i ms.
 };
 
 class Supervisor final : public core::Simulator {

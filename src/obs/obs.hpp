@@ -2,16 +2,16 @@
 // the simulators, benches and tools fold into machine-readable metrics
 // reports (docs/OBSERVABILITY.md).
 //
-// Compile-time toggle: NSC_OBS (CMake option NEUROSYN_OBS, default ON).
-// With NSC_OBS=0 every ScopedTimer is a no-op the optimizer deletes, so the
-// kernel hot loop carries zero instrumentation cost; the Registry and report
-// types stay available so reporting code compiles either way. A runtime
-// toggle (each simulator's `collect_phase_metrics` flag) additionally gates
-// the clock reads without recompiling.
+// One switch: NSC_OBS (CMake option NEUROSYN_OBS, default ON). With
+// NSC_OBS=0 every ScopedTimer and phase clock read is a no-op the optimizer
+// deletes, so the kernel hot loop carries zero instrumentation cost; the
+// Registry and report types stay available so reporting code compiles either
+// way. There is no runtime toggle: a build with NSC_OBS on always times.
 //
 // Instrumentation must never perturb simulated behaviour: timers and
-// counters are observation-only, and tests/test_obs.cpp asserts that runs
-// with metrics on and off are spike-for-spike identical.
+// counters are observation-only, and tests/test_obs.cpp pins the spike
+// streams and counters that the default and the NSC_OBS=0 build must both
+// produce.
 #pragma once
 
 #include <cstdint>

@@ -98,14 +98,13 @@ void BatchSimulator::reset_metrics() noexcept {
 void BatchSimulator::run(Tick nticks, const core::InputSchedule* const* inputs,
                          core::SpikeSink* const* sinks) {
   if (nticks <= 0) return;
-  const bool obs_on = obs::kEnabled && cfg_.collect_phase_metrics;
   const int P = cfg_.threads;
   std::vector<std::uint64_t> compute_ns(static_cast<std::size_t>(P), 0);
 
   pool_->run_all([&](int p) {
     const ReplicaRange own = replica_range(cfg_.replicas, P, p);
     if (own.begin >= own.end) return;
-    const std::uint64_t w0 = obs_on ? obs::now_ns() : 0;
+    const std::uint64_t w0 = obs::kEnabled ? obs::now_ns() : 0;
     const std::size_t words = active_[static_cast<std::size_t>(own.begin)].word_count();
     std::vector<std::uint64_t> masks(static_cast<std::size_t>(own.end - own.begin));
     // The step of replica r for this tick.
@@ -163,7 +162,7 @@ void BatchSimulator::run(Tick nticks, const core::InputSchedule* const* inputs,
         }
       }
     }
-    if (obs_on) compute_ns[static_cast<std::size_t>(p)] += obs::now_ns() - w0;
+    if (obs::kEnabled) compute_ns[static_cast<std::size_t>(p)] += obs::now_ns() - w0;
   });
 
   for (int r = 0; r < cfg_.replicas; ++r) {

@@ -56,9 +56,6 @@ namespace nsc::replica {
 struct Config {
   int replicas = 1;  ///< Batched instances N (>= 1) of the one network.
   int threads = 1;   ///< Workers; replicas are split contiguously across them.
-  /// Runtime toggle for the per-phase wall-time metrics; spike output is
-  /// identical either way (NSC_OBS=0 compiles the probes out entirely).
-  bool collect_phase_metrics = true;
 };
 
 /// N instances of one network advancing in lockstep through a merged

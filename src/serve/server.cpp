@@ -13,17 +13,7 @@ namespace nsc::serve {
 
 namespace {
 
-void add_counters(SessionCounters& into, const SessionCounters& from) {
-  into.ticks_served += from.ticks_served;
-  into.spikes_queued += from.spikes_queued;
-  into.spikes_streamed += from.spikes_streamed;
-  into.spikes_dropped += from.spikes_dropped;
-  into.inputs_injected += from.inputs_injected;
-  into.checkpoints += from.checkpoints;
-  into.restores += from.restores;
-}
-
-bool owns(const Server::Config&, const std::vector<std::uint64_t>& owned, std::uint64_t id) {
+bool owns(const std::vector<std::uint64_t>& owned, std::uint64_t id) {
   for (const std::uint64_t s : owned) {
     if (s == id) return true;
   }
@@ -32,7 +22,10 @@ bool owns(const Server::Config&, const std::vector<std::uint64_t>& owned, std::u
 
 }  // namespace
 
-Server::Server(Config cfg) : cfg_(std::move(cfg)) {}
+Server::Server(Config cfg) : cfg_(std::move(cfg)) {
+  // Every stats document carries these totals, zero until the first kTick.
+  for (const char* name : {"serve.spikes_queued", "serve.spikes_dropped"}) metrics_.counter(name);
+}
 
 Server::~Server() = default;
 
@@ -148,7 +141,7 @@ bool Server::pump_frames(Conn& conn) {
     if (conn.rbuf.size() - off < sizeof(ipc::FrameHeader)) break;
     ipc::FrameHeader h;
     std::memcpy(&h, conn.rbuf.data() + off, sizeof h);
-    if (h.size > cfg_.max_frame_payload || h.size > ipc::kMaxFramePayload) {
+    if (h.size > kMaxCommandPayload) {
       framing_ok = false;  // Unresyncable garbage: kill the connection.
       break;
     }
@@ -245,12 +238,17 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kTick: {
         const auto req = ipc::get_pod<TickReq>(frame.payload, off);
-        if (!owns(cfg_, conn.sessions, req.session)) {
+        if (!owns(conn.sessions, req.session)) {
           throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
         }
         Session& s = session_of(req.session);
+        const SessionCounters before = s.counters();
         s.tick(req.nticks, req.record != 0);
         metrics_.counter("serve.ticks_served") += static_cast<std::uint64_t>(req.nticks);
+        metrics_.counter("serve.spikes_queued") +=
+            s.counters().spikes_queued - before.spikes_queued;
+        metrics_.counter("serve.spikes_dropped") +=
+            s.counters().spikes_dropped - before.spikes_dropped;
         TickOk okr;
         okr.now = s.now();
         okr.queued = s.queue_depth();
@@ -260,7 +258,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kInject: {
         const auto req = ipc::get_pod<InjectReq>(frame.payload, off);
-        if (!owns(cfg_, conn.sessions, req.session)) {
+        if (!owns(conn.sessions, req.session)) {
           throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
         }
         std::vector<core::InputSpike> events;
@@ -273,7 +271,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kReadSpikes: {
         const auto req = ipc::get_pod<ReadReq>(frame.payload, off);
-        if (!owns(cfg_, conn.sessions, req.session)) {
+        if (!owns(conn.sessions, req.session)) {
           throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
         }
         Session& s = session_of(req.session);
@@ -296,7 +294,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kCheckpoint: {
         const auto req = ipc::get_pod<SessionReq>(frame.payload, off);
-        if (!owns(cfg_, conn.sessions, req.session)) {
+        if (!owns(conn.sessions, req.session)) {
           throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
         }
         std::ostringstream os;
@@ -308,7 +306,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kRestore: {
         const auto req = ipc::get_pod<SessionReq>(frame.payload, off);
-        if (!owns(cfg_, conn.sessions, req.session)) {
+        if (!owns(conn.sessions, req.session)) {
           throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
         }
         ipc::ByteIStream is(frame.payload.data() + off, frame.payload.size() - off);
@@ -319,7 +317,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kDestroy: {
         const auto req = ipc::get_pod<SessionReq>(frame.payload, off);
-        if (!owns(cfg_, conn.sessions, req.session)) {
+        if (!owns(conn.sessions, req.session)) {
           throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
         }
         destroy_session(req.session);
@@ -456,14 +454,9 @@ Session& Server::session_of(std::uint64_t id) {
 void Server::destroy_session(std::uint64_t id) {
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
-  fold_session_counters(*it->second);
+  retired_stats_ += it->second->stats();
   sessions_.erase(it);
   ++metrics_.counter("serve.sessions_destroyed");
-}
-
-void Server::fold_session_counters(const Session& s) {
-  retired_stats_ += s.stats();
-  add_counters(retired_counters_, s.counters());
 }
 
 std::string Server::stats_json() const {
@@ -473,20 +466,16 @@ std::string Server::stats_json() const {
   report.wall_s =
       started_ns_ != 0 ? static_cast<double>(obs::now_ns() - started_ns_) / 1e9 : 0.0;
   report.stats = retired_stats_;
-  SessionCounters totals = retired_counters_;
   std::uint64_t queued_now = 0;
   for (const auto& [id, s] : sessions_) {
     report.stats += s->stats();
-    add_counters(totals, s->counters());
     queued_now += s->queue_depth();
   }
-  report.ticks = totals.ticks_served;
+  report.ticks = metrics_.counter_value("serve.ticks_served");
   report.metrics = metrics_;
   report.metrics.counter("serve.sessions_active") = sessions_.size();
   report.metrics.counter("serve.connections_active") = conns_.size();
   report.metrics.counter("serve.queue_depth") = queued_now;
-  report.metrics.counter("serve.spikes_queued") = totals.spikes_queued;
-  report.metrics.counter("serve.spikes_dropped") = totals.spikes_dropped;
 
   obs::JsonValue doc = obs::report_to_json(report);
   obs::JsonValue list = obs::JsonValue::array();

@@ -7,7 +7,7 @@
 //     startup (analysis::lint error severity refuses it, the nsc_lint
 //     admission bar) and shared immutably across every session over it.
 //   * One thread, bounded work — commands are serialized by the event loop
-//     and each is bounded (max_ticks_per_cmd, max frame payload), so a
+//     and each is bounded (max_ticks_per_cmd, kMaxCommandPayload), so a
 //     hostile or heavy tenant can delay others but never wedge the daemon.
 //     Tests drive the server from its own std::thread; request_stop() is the
 //     only cross-thread entry point (an atomic flag the loop polls).
@@ -35,6 +35,11 @@
 
 namespace nsc::serve {
 
+/// Largest command payload the daemon buffers (restore blobs are the biggest
+/// legitimate frames); a header past it kills the connection.
+inline constexpr std::uint32_t kMaxCommandPayload = 256u << 20;
+static_assert(kMaxCommandPayload <= ipc::kMaxFramePayload);
+
 class Server {
  public:
   struct Config {
@@ -45,9 +50,6 @@ class Server {
     int max_connections = 64;    ///< Accept cap; excess connects are dropped.
     int default_threads = 1;     ///< compass threads when kCreate asks for 0.
     SessionLimits limits;
-    /// Largest command payload the daemon will buffer (restore blobs are the
-    /// biggest legitimate frames); a header past this kills the connection.
-    std::uint32_t max_frame_payload = 256u << 20;
     /// Reply backlog bound per connection; exceeding it evicts the client.
     std::size_t max_conn_out_bytes = 64u << 20;
     /// Refuse networks whose lint report contains error-severity findings.
@@ -114,7 +116,6 @@ class Server {
 
   Session& session_of(std::uint64_t id);
   void destroy_session(std::uint64_t id);
-  void fold_session_counters(const Session& s);
 
   Config cfg_;
   ipc::Listener listener_;
@@ -126,10 +127,10 @@ class Server {
   bool draining_ = false;
   obs::Registry metrics_;
   std::uint64_t started_ns_ = 0;
-  /// Counters of already-destroyed sessions, folded so daemon totals survive
-  /// session churn.
+  /// Kernel stats of already-destroyed sessions, folded so daemon totals
+  /// survive session churn (the serve.* counters in metrics_ are daemon
+  /// totals already).
   core::KernelStats retired_stats_;
-  SessionCounters retired_counters_;
 };
 
 }  // namespace nsc::serve

@@ -48,9 +48,8 @@ Session::Session(std::shared_ptr<const core::Network> net, std::string net_name,
       limits_(limits) {}
 
 void Session::inject(const std::vector<core::InputSpike>& events) {
-  if (inputs_.size() + events.size() > limits_.max_pending_inputs) {
-    throw ServeError(ErrorCode::kLimitExceeded,
-                     "serve: session input budget exceeded (max_pending_inputs)");
+  if (inputs_.size() + events.size() > kMaxPendingInputs) {
+    throw ServeError(ErrorCode::kLimitExceeded, "serve: session input budget exceeded");
   }
   const core::Tick horizon = sim_.now();
   const auto ncores = static_cast<core::CoreId>(net_->geom.total_cores());
@@ -73,8 +72,8 @@ void Session::tick(core::Tick nticks, bool record) {
                      "serve: tick count exceeds per-command bound (chunk the run)");
   }
   if (nticks == 0) return;
-  // Re-sorts absolute-tick events after new injections (past ones stay
-  // consumed); returns at once when nothing was injected since the last tick.
+  // Sorts in the events injected since the last tick (past ones stay
+  // consumed); returns at once when nothing was injected.
   inputs_.finalize();
   QueueSink sink(&queue_, head_, limits_.max_queued_spikes, &counters_);
   sim_.run(nticks, inputs_.empty() ? nullptr : &inputs_, record ? &sink : nullptr);

@@ -32,10 +32,12 @@ namespace nsc::serve {
 
 /// Per-session backpressure bounds (Server::Config carries the defaults).
 struct SessionLimits {
-  std::size_t max_queued_spikes = 1u << 20;   ///< Output queue; overflow drops newest.
-  std::size_t max_pending_inputs = 1u << 22;  ///< Lifetime injected-event cap.
-  core::Tick max_ticks_per_cmd = 1 << 20;     ///< Bounds one kTick's work.
+  std::size_t max_queued_spikes = 1u << 20;  ///< Output queue; overflow drops newest.
+  core::Tick max_ticks_per_cmd = 1 << 20;    ///< Bounds one kTick's work.
 };
+
+/// Lifetime injected-event cap of one session.
+inline constexpr std::size_t kMaxPendingInputs = 1u << 22;
 
 /// Per-tenant counters, isolated per session (the soak test asserts one
 /// tenant's traffic never leaks into another's numbers).
@@ -58,7 +60,7 @@ class Session {
 
   /// Queues external spikes. Throws ServeError (kBadRequest) on an event
   /// addressed outside the network or into the past, (kLimitExceeded) past
-  /// the lifetime input cap. All-or-nothing: on throw, nothing was queued.
+  /// kMaxPendingInputs. All-or-nothing: on throw, nothing was queued.
   void inject(const std::vector<core::InputSpike>& events);
 
   /// Advances `nticks`. With `record`, output spikes land in the bounded

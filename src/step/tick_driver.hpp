@@ -33,16 +33,15 @@ namespace nsc::step {
 class TickDriver {
  public:
   /// Drives and seeds `ranges` (ascending, contiguous) of `inst`, timing the
-  /// phases in `reg` when `timed`. One worker thread per partition, unless
-  /// there is one partition or one usable CPU (read once, here): then the
-  /// calling thread alone, and no pool thread is started.
+  /// phases in `reg` when obs::kEnabled. One worker thread per partition,
+  /// unless there is one partition or one usable CPU (read once, here): then
+  /// the calling thread alone, and no pool thread is started.
   TickDriver(const CoreState& st, Instance& inst, std::vector<CoreRange> ranges,
-             obs::Registry& reg, bool timed)
+             obs::Registry& reg)
       : st_(st),
         inst_(inst),
         ranges_(std::move(ranges)),
         parts_(ranges_.size()),
-        timed_(obs::kEnabled && timed),
         ph_{&reg.phase("inject"), &reg.phase("compute"), &reg.phase("exchange"),
             &reg.phase("commit")},
         pool_(ranges_.size() > 1 && util::usable_cpus() > 1 ? static_cast<int>(ranges_.size())
@@ -80,7 +79,7 @@ class TickDriver {
           t3 = clock();
         }
         barrier.arrive_and_wait();  // Sync step 2: every delivery has landed.
-        if (lead && timed_) {
+        if (lead && obs::kEnabled) {
           ph_[0]->add(inject);
           ph_[1]->add(t1 - t0 - inject);
           ph_[2]->add((t2 - t1) + (clock() - t3));
@@ -155,7 +154,7 @@ class TickDriver {
   };
 
   Partition& part(int p) { return parts_[static_cast<std::size_t>(p)]; }
-  [[nodiscard]] std::uint64_t clock() const noexcept { return timed_ ? obs::now_ns() : 0; }
+  [[nodiscard]] static std::uint64_t clock() noexcept { return obs::kEnabled ? obs::now_ns() : 0; }
 
   /// Partition p's inject and compute; returns its inject time.
   template <typename Backend>
@@ -204,7 +203,6 @@ class TickDriver {
   Instance& inst_;
   std::vector<CoreRange> ranges_;
   std::vector<Partition> parts_;
-  const bool timed_;
   obs::PhaseAccum* ph_[4];  ///< inject, compute, exchange, commit.
   util::ThreadPool pool_;   ///< One worker per partition, or the calling thread alone.
 };

@@ -42,13 +42,12 @@ struct TrueNorthSimulator::Backend {
   }
 };
 
-TrueNorthSimulator::TrueNorthSimulator(const core::Network& net, SimOptions opts)
+TrueNorthSimulator::TrueNorthSimulator(const core::Network& net)
     : net_(net),
-      opts_(opts),
       traffic_(net.geom),
       state_(net),
       inst_(state_),
-      driver_(state_, inst_, {{0, state_.ncores}}, obs_, opts.collect_phase_metrics),
+      driver_(state_, inst_, {{0, state_.ncores}}, obs_),
       route_(static_cast<std::size_t>(net.geom.total_cores()) * kCoreSize) {
   step_metrics_ = step::StepMetrics(obs_, *state_.kern);
   ctr_rerouted_hops_ = &obs_.counter("fault.rerouted_hops");

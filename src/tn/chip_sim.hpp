@@ -26,19 +26,12 @@
 
 namespace nsc::tn {
 
-struct SimOptions {
-  /// Runtime toggle for the per-phase wall-time metrics (a handful of
-  /// monotonic clock reads per tick; spike output is identical either way).
-  /// NSC_OBS=0 compiles the instrumentation out regardless of this flag.
-  bool collect_phase_metrics = true;
-};
-
 class TrueNorthSimulator final : public core::Simulator {
  public:
   /// The network must outlive the simulator. Cores marked `disabled` are
   /// treated as faulted: they produce nothing, absorb nothing, and routes
   /// detour around them (hop counts reflect the detours).
-  explicit TrueNorthSimulator(const core::Network& net, SimOptions opts = {});
+  explicit TrueNorthSimulator(const core::Network& net);
 
   void run(core::Tick nticks, const core::InputSchedule* inputs, core::SpikeSink* sink) override;
   [[nodiscard]] core::Tick now() const override { return now_; }
@@ -76,8 +69,8 @@ class TrueNorthSimulator final : public core::Simulator {
   /// routing), "exchange" (empty on one partition) and "commit" (traffic
   /// epoch close, spikes to the sink). Counters: the shared set
   /// (src/step/metrics.hpp; "messages" and "message_bytes" stay zero on the
-  /// chip) plus "fault.rerouted_hops". Phase timers are empty when
-  /// collect_phase_metrics is off or NSC_OBS=0; counters are always live.
+  /// chip) plus "fault.rerouted_hops". Phase timers are empty when built
+  /// with NSC_OBS=0; counters are always live.
   [[nodiscard]] const obs::Registry& metrics() const noexcept { return obs_; }
 
   /// Zeroes the phase timers.
@@ -115,7 +108,6 @@ class TrueNorthSimulator final : public core::Simulator {
   void reroute(std::size_t nid, const noc::RouteInfo& r);
 
   const core::Network& net_;
-  SimOptions opts_;
   core::Tick now_ = 0;
   core::KernelStats stats_;
   noc::InterChipTraffic traffic_;

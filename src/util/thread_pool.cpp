@@ -14,13 +14,7 @@ int usable_cpus() noexcept {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
-ThreadPool::ThreadPool(int n) : n_(n) {
-  assert(n >= 1);
-  threads_.reserve(static_cast<std::size_t>(n - 1));
-  for (int i = 1; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
+ThreadPool::ThreadPool(int n) : n_(n) { assert(n >= 1); }
 
 ThreadPool::~ThreadPool() {
   {
@@ -35,6 +29,10 @@ void ThreadPool::run_all(const std::function<void(int)>& fn) {
   if (n_ == 1) {
     fn(0);
     return;
+  }
+  // Workers start here, not in the constructor (see the header).
+  for (int i = static_cast<int>(threads_.size()) + 1; i < n_; ++i) {
+    threads_.emplace_back([this, i] { worker_loop(i); });
   }
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -1,8 +1,10 @@
 // Minimal persistent thread pool used by the tick driver and replica.
 //
-// Workers are created once and reused for every simulated tick; the
-// alternative (spawning threads per tick) would dominate run time at the
-// kernel's millisecond tick granularity.
+// Workers are created once, at the first run_all, and reused for every
+// simulated tick; the alternative (spawning threads per tick) would dominate
+// run time at the kernel's millisecond tick granularity. Starting them late
+// keeps a constructed-but-idle simulator single-threaded, so a process that
+// forks dist ranks after building one forks without live threads.
 #pragma once
 
 #include <condition_variable>
@@ -19,9 +21,9 @@ namespace nsc::util {
 
 class ThreadPool {
  public:
-  /// Creates `n` worker threads (n >= 1). Worker 0 is the calling thread's
-  /// partner: run_all executes index 0 inline to keep single-thread runs
-  /// free of cross-thread latency.
+  /// A pool of `n` workers (n >= 1), started by the first run_all. Worker 0
+  /// is the calling thread's partner: run_all executes index 0 inline to
+  /// keep single-thread runs free of cross-thread latency.
   explicit ThreadPool(int n);
   ~ThreadPool();
 

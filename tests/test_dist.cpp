@@ -32,6 +32,7 @@ using core::Network;
 using core::Spike;
 using core::Tick;
 using core::VectorSink;
+using dist::RankFault;
 using testsup::expect_spikes_equal;
 
 std::vector<Spike> run_dist(const Network& net, const InputSchedule* in, Tick ticks, int ranks,
@@ -299,8 +300,7 @@ TEST(DistFault, RankDeathMidCampaignDegradesInsteadOfHanging) {
   dist::Config cfg;
   cfg.ranks = 2;
   cfg.threads_per_rank = 1;
-  cfg.suicide_rank = 1;  // test hook: rank 1 calls _Exit(3) at tick 25
-  cfg.suicide_tick = kDeath;
+  cfg.faults = {{.rank = 1, .at = kDeath}};  // rank 1 exits with status 3 at tick 25
   dist::Coordinator coord(net, cfg);
   VectorSink sink;
   fault::run_with_campaign(coord, 50, &in, &sink, campaign);
@@ -355,29 +355,27 @@ TEST(DistFault, RankDeathMidCampaignDegradesInsteadOfHanging) {
 // recovery"). Under the supervisor a rank death or hang must be invisible
 // in the output: respawn the fleet, restore the shadow checkpoint, replay
 // the journaled inputs, and produce a trace spike-for-spike identical to a
-// fault-free run. Backoff is zeroed throughout to keep the suite fast.
+// fault-free run.
 // ---------------------------------------------------------------------------
 
-constexpr dist::SupervisorConfig kFastRecover{/*recovery_interval=*/4, /*max_respawns=*/3,
-                                              /*backoff_base_ms=*/0};
+constexpr dist::SupervisorConfig kFastRecover{/*recovery_interval=*/4, /*max_respawns=*/3};
 
 TEST(DistRecover, KillAtEveryPhaseRecoversExactly) {
-  // The suicide hook fires pre-compute (0), post-compute (1), or
-  // post-exchange (2); each phase loses different in-flight state, and all
-  // three must recover to the identical trace. Poisson inputs make the
-  // journal replay carry real external spikes.
+  // The fault fires pre-compute, post-compute, or post-exchange; each phase
+  // loses different in-flight state, and all three must recover to the
+  // identical trace. Poisson inputs make the journal replay carry real
+  // external spikes.
   const netgen::RandomNetSpec spec = testsup::fuzz_spec(3);
   const Network net = netgen::make_random(spec);
   const InputSchedule in = netgen::make_poisson_inputs(spec, net, 30);
   const std::vector<Spike> ref = testsup::run_compass(net, &in, 30, 1).spikes;
 
-  for (const int phase : {0, 1, 2}) {
-    SCOPED_TRACE("phase=" + std::to_string(phase));
+  for (const RankFault::When phase : {RankFault::When::kPreCompute, RankFault::When::kPostCompute,
+                                      RankFault::When::kPostExchange}) {
+    SCOPED_TRACE("phase=" + std::to_string(static_cast<int>(phase)));
     dist::Config cfg;
     cfg.ranks = 2;
-    cfg.suicide_rank = 1;
-    cfg.suicide_tick = 13;
-    cfg.suicide_phase = phase;
+    cfg.faults = {{.rank = 1, .when = phase, .at = 13}};
     dist::Supervisor sup(net, cfg, kFastRecover);
     VectorSink sink;
     sup.run(30, &in, &sink);
@@ -398,8 +396,7 @@ TEST(DistRecover, GoldenTraceHashAfterMidRunKill) {
     SCOPED_TRACE("ranks=" + std::to_string(ranks));
     dist::Config cfg;
     cfg.ranks = ranks;
-    cfg.suicide_rank = ranks - 1;
-    cfg.suicide_tick = 30;
+    cfg.faults = {{.rank = ranks - 1, .at = 30}};
     dist::SupervisorConfig scfg = kFastRecover;
     scfg.recovery_interval = 16;
     dist::Supervisor sup(net, cfg, scfg);
@@ -443,10 +440,7 @@ TEST(DistRecover, DoubleFailureInOneWindowCostsOneRespawn) {
 
   dist::Config cfg;
   cfg.ranks = 2;
-  cfg.suicide_rank = 0;
-  cfg.suicide_tick = 12;
-  cfg.suicide2_rank = 1;
-  cfg.suicide2_tick = 12;
+  cfg.faults = {{.rank = 0, .at = 12}, {.rank = 1, .at = 12}};
   dist::Supervisor sup(net, cfg, kFastRecover);
   VectorSink sink;
   sup.run(30, &in, &sink);
@@ -455,7 +449,7 @@ TEST(DistRecover, DoubleFailureInOneWindowCostsOneRespawn) {
 }
 
 TEST(DistRecover, RespawnBudgetExhaustionFallsBackToDegrade) {
-  // hook_incarnation = -1 re-arms the suicide after every respawn, so the
+  // incarnation = -1 re-arms the fault after every respawn, so the
   // same rank keeps dying at the same tick until the budget runs out; the
   // run must still complete (degraded), never wedge or throw.
   const Network net = testsup::hard_network();
@@ -463,9 +457,7 @@ TEST(DistRecover, RespawnBudgetExhaustionFallsBackToDegrade) {
 
   dist::Config cfg;
   cfg.ranks = 2;
-  cfg.suicide_rank = 1;
-  cfg.suicide_tick = 10;
-  cfg.hook_incarnation = -1;
+  cfg.faults = {{.rank = 1, .at = 10, .incarnation = -1}};
   dist::SupervisorConfig scfg = kFastRecover;
   scfg.max_respawns = 2;
   dist::Supervisor sup(net, cfg, scfg);
@@ -490,8 +482,7 @@ TEST(DistRecover, DeathDuringImageCollectionKeepsPreviousImage) {
 
   dist::Config cfg;
   cfg.ranks = 2;
-  cfg.die_on_save_rank = 0;
-  cfg.die_on_save_seq = 2;
+  cfg.faults = {{.rank = 0, .when = RankFault::When::kSave, .at = 2}};
   dist::Supervisor sup(net, cfg, kFastRecover);
   VectorSink sink;
   sup.run(30, &in, &sink);
@@ -507,8 +498,7 @@ TEST(DistRecover, DegradePolicyMatchesUnsupervisedCoordinator) {
   const InputSchedule in = testsup::hard_inputs(net, 30);
   dist::Config cfg;
   cfg.ranks = 2;
-  cfg.suicide_rank = 1;
-  cfg.suicide_tick = 12;
+  cfg.faults = {{.rank = 1, .at = 12}};
 
   dist::Coordinator coord(net, cfg);
   VectorSink want;
@@ -527,12 +517,8 @@ TEST(DistRecover, DegradePolicyMatchesUnsupervisedCoordinator) {
 
 TEST(DistRecover, InvalidSupervisorConfigRejected) {
   const Network net = testsup::hard_network();
-  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {0, 3, 5}),
-               std::invalid_argument);
-  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {32, -1, 5}),
-               std::invalid_argument);
-  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {32, 3, -1}),
-               std::invalid_argument);
+  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {0, 3}), std::invalid_argument);
+  EXPECT_THROW(dist::Supervisor(net, {.ranks = 2}, {32, -1}), std::invalid_argument);
 }
 
 TEST(DistRecover, StatsOnlyRunHealsOnMissedHeartbeats) {
@@ -543,8 +529,7 @@ TEST(DistRecover, StatsOnlyRunHealsOnMissedHeartbeats) {
   const InputSchedule in = testsup::hard_inputs(net, 30);
   dist::Config cfg;
   cfg.ranks = 2;
-  cfg.hang_rank = 1;
-  cfg.hang_tick = 10;
+  cfg.faults = {{.rank = 1, .at = 10, .action = RankFault::Action::kWedge}};
   cfg.rank_deadline_ms = 1000;
   dist::Supervisor sup(net, cfg, kFastRecover);
   sup.run(30, &in, nullptr);
@@ -567,8 +552,7 @@ TEST(DistDeadline, HangWithoutSupervisionThrowsRankTimeout) {
   const InputSchedule in = testsup::hard_inputs(net, 30);
   dist::Config cfg;
   cfg.ranks = 2;
-  cfg.hang_rank = 1;
-  cfg.hang_tick = 10;
+  cfg.faults = {{.rank = 1, .at = 10, .action = RankFault::Action::kWedge}};
   cfg.rank_deadline_ms = 500;
   dist::Coordinator coord(net, cfg);
   VectorSink sink;
@@ -602,8 +586,7 @@ TEST(DistDeadline, SupervisedHangRecoversExactlyWithThreads) {
   dist::Config cfg;
   cfg.ranks = 2;
   cfg.threads_per_rank = 2;
-  cfg.hang_rank = 0;
-  cfg.hang_tick = 14;
+  cfg.faults = {{.rank = 0, .at = 14, .action = RankFault::Action::kWedge}};
   cfg.rank_deadline_ms = 1000;
   dist::Supervisor sup(net, cfg, kFastRecover);
   VectorSink sink;
@@ -621,8 +604,7 @@ TEST(DistFault, FirstRankDeathDoesNotStallRecordStream) {
   const InputSchedule in = netgen::make_poisson_inputs(testsup::fuzz_spec(2), net, 30);
   dist::Config cfg;
   cfg.ranks = 2;
-  cfg.suicide_rank = 0;
-  cfg.suicide_tick = 10;
+  cfg.faults = {{.rank = 0, .at = 10}};
   dist::Coordinator coord(net, cfg);
   VectorSink sink;
   coord.run(30, &in, &sink);  // must not hang

@@ -452,6 +452,28 @@ TEST(ServeExactness, InputsInjectedBetweenTicksMatchUpFrontInjection) {
   testsup::expect_spikes_equal(solo, served, "streamed injection vs solo");
 }
 
+TEST(ServeExactness, FarFutureInjectLeavesTheStreamAlone) {
+  // An event 2^40 ticks ahead is one more event, not an index over every
+  // tick up to it: the session keeps ticking, identical to a twin without it.
+  const auto net = std::make_shared<const Network>(small_net(24));
+  const std::vector<InputSpike> drive = drive_events(*net, 20);
+  serve::Session far(net, "net", 1, {});
+  serve::Session twin(net, "net", 1, {});
+  far.inject(drive);
+  twin.inject(drive);
+  far.inject({{far.now() + (Tick{1} << 40), 0, 3}});
+  for (int i = 0; i < 20; ++i) {
+    far.tick(1, /*record=*/true);
+    twin.tick(1, /*record=*/true);
+  }
+  EXPECT_EQ(far.now(), 20);
+  std::vector<Spike> got, want;
+  far.read_spikes(far.queue_depth(), got);
+  twin.read_spikes(twin.queue_depth(), want);
+  EXPECT_FALSE(want.empty());
+  testsup::expect_spikes_equal(want, got, "far-future inject vs twin");
+}
+
 TEST(ServeExactness, SessionThreadCountNeverChangesTheStream) {
   const Network net = small_net(22);
   const Tick ticks = 50;
@@ -625,9 +647,7 @@ TEST(ServeHostile, FirstFrameMustBeHello) {
 }
 
 TEST(ServeHostile, OversizedFrameHeaderKillsOnlyThatConnection) {
-  serve::Server::Config cfg;
-  cfg.max_frame_payload = 1u << 16;
-  ServeHarness h(cfg);
+  ServeHarness h;
   h.add_net("net", small_net(31));
   h.start();
   const std::vector<Spike> solo = solo_witness(small_net(31), {}, 30);
@@ -637,8 +657,9 @@ TEST(ServeHostile, OversizedFrameHeaderKillsOnlyThatConnection) {
   const std::uint64_t s = victim.create("net");
   victim.tick(s, 5);
 
-  // A header claiming a payload past the daemon's bound: unframeable, fatal
-  // for the connection — and its session dies with it.
+  // A header claiming a payload past the daemon's bound (1 GiB against
+  // serve::kMaxCommandPayload): unframeable, fatal for the connection — and
+  // its session dies with it.
   const std::uint32_t hostile[2] = {static_cast<std::uint32_t>(Cmd::kTick), 1u << 30};
   EXPECT_GT(victim.channel().write_some(hostile, sizeof hostile), 0);
   expect_connection_dropped(victim.channel());
@@ -830,6 +851,7 @@ TEST(ServeTenancy, StatsIsolatePerTenantCounters) {
   const obs::JsonValue* sessions = doc.find("sessions");
   ASSERT_NE(sessions, nullptr);
   ASSERT_EQ(sessions->items().size(), 2u);
+  std::uint64_t s1_queued = 0;  // Nothing was streamed: all that s1 queued.
   for (const obs::JsonValue& row : sessions->items()) {
     const auto id = static_cast<std::uint64_t>(row.find("id")->as_int());
     const std::int64_t ticks = row.find("ticks_served")->as_int();
@@ -837,6 +859,7 @@ TEST(ServeTenancy, StatsIsolatePerTenantCounters) {
     if (id == s1) {
       EXPECT_EQ(ticks, 7);
       EXPECT_GT(queued, 0u);  // record=true queued its spikes.
+      s1_queued = queued;
     } else {
       EXPECT_EQ(id, s2);
       EXPECT_EQ(ticks, 31);
@@ -846,10 +869,15 @@ TEST(ServeTenancy, StatsIsolatePerTenantCounters) {
   c.destroy(s1);
   c.destroy(s2);
 
-  // Daemon totals survive session churn (folded into retired counters).
+  // Daemon totals survive session churn.
   const obs::JsonValue after = obs::parse_json(c.stats_json());
   EXPECT_EQ(after.find("ticks")->as_int(), 38);
   EXPECT_EQ(after.find("sessions")->items().size(), 0u);
+  EXPECT_EQ(after.find("counters")->find("serve.spikes_queued")->as_int(),
+            static_cast<std::int64_t>(s1_queued));
+  // The daemon's own registry carries the same total live, not only kStats.
+  h.stop();
+  EXPECT_EQ(testsup::counter_value(h.server().metrics(), "serve.spikes_queued"), s1_queued);
 }
 
 TEST(ServeTenancy, SlowClientIsEvictedOthersUnaffected) {

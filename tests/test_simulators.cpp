@@ -9,7 +9,10 @@
 #include "src/core/reference_sim.hpp"
 #include "src/core/spike_sink.hpp"
 #include "src/netgen/recurrent.hpp"
+#include "src/replica/batch.hpp"
 #include "src/tn/chip_sim.hpp"
+#include "src/util/thread_pool.hpp"
+#include "tests/test_support.hpp"
 
 namespace nsc {
 namespace {
@@ -220,6 +223,25 @@ TEST(CompassSim, RejectsThreadCountBelowOne) {
     EXPECT_THROW(compass::Simulator(net, {.threads = threads}), std::invalid_argument)
         << "threads=" << threads;
   }
+}
+
+TEST(PoolThreads, WorkersStartAtTheFirstRunNotAtConstruction) {
+  // A process that forks dist ranks after building simulators must not hold
+  // idle pool threads: a pool starts its workers with its first run.
+  const Network net = make_relay(1);
+  const int before = testsup::process_threads();
+  ASSERT_GT(before, 0);
+  replica::BatchSimulator batch(net, {.replicas = 3, .threads = 3});
+  EXPECT_EQ(testsup::process_threads(), before);
+  batch.run(1, nullptr, nullptr);
+  EXPECT_GT(testsup::process_threads(), before);
+
+  if (util::usable_cpus() == 1) GTEST_SKIP() << "one usable CPU: compass runs on the caller";
+  const int ran = testsup::process_threads();
+  compass::Simulator sim(net, {.threads = 3});
+  EXPECT_EQ(testsup::process_threads(), ran);
+  sim.run(1, nullptr, nullptr);
+  EXPECT_GT(testsup::process_threads(), ran);
 }
 
 TEST(Partition, BalancesLoadOnUniformNetwork) {

@@ -14,7 +14,6 @@
 #include <sched.h>
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -28,6 +27,7 @@
 #include "src/dist/coordinator.hpp"
 #include "src/replica/batch.hpp"
 #include "src/tn/chip_sim.hpp"
+#include "tests/test_support.hpp"
 
 // Rank processes are forked from the test binary; under TSan the default
 // die_after_fork=1 would abort them before they ever reach rank_main.
@@ -604,17 +604,6 @@ TEST(StatePin, DistReportsCompassCounters) {
 // pin. Pinned, compass at 3 threads and dist at 2 ranks x 2 threads must
 // reproduce the golden hashes and every count of the same runs unpinned.
 
-/// Threads in this process: the Threads: line of /proc/self/status.
-int process_threads() {
-  std::ifstream status("/proc/self/status");
-  std::string key;
-  int n = -1;
-  while (status >> key) {
-    if (key == "Threads:") status >> n;
-  }
-  return n;
-}
-
 /// Restores the calling thread's CPU mask when it leaves scope.
 struct MaskRestore {
   cpu_set_t mask;
@@ -634,9 +623,11 @@ Pins run_golden(bool pinned) {
     const core::InputSchedule in = load_inputs(fx);
     {
       // Scoped: its pool threads must be gone before the coordinator forks.
-      const int threads_before = process_threads();
+      const int threads_before = testsup::process_threads();
       compass::Simulator sim(net, {.threads = 3});
-      if (pinned) EXPECT_EQ(process_threads(), threads_before) << "serial loop started a thread";
+      if (pinned) {
+        EXPECT_EQ(testsup::process_threads(), threads_before) << "serial loop started a thread";
+      }
       core::VectorSink compass_spikes;
       sim.run(kGoldenTicks, &in, &compass_spikes);
       EXPECT_EQ(core::trace_hash(compass_spikes.spikes()), hash) << fx.name;

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -132,6 +134,17 @@ inline std::uint64_t counter_value(const obs::Registry& reg, std::string_view na
     if (n == name) return v;
   }
   return 0;
+}
+
+/// Threads in this process: the Threads: line of /proc/self/status.
+inline int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  int n = -1;
+  while (status >> key) {
+    if (key == "Threads:") status >> n;
+  }
+  return n;
 }
 
 }  // namespace nsc::testsup
