@@ -9,16 +9,12 @@ void InputSchedule::finalize() {
   if (sorted_ == events_.size()) return;
   const auto added = events_.begin() + static_cast<std::ptrdiff_t>(sorted_);
   std::sort(added, events_.end());
-  // Deduplicate from the old tail on, or from the front after a merge.
-  auto from = added;
-  if (sorted_ > 0) {
-    from = added - 1;
-    if (*added < *from) {
-      std::inplace_merge(events_.begin(), added, events_.end());
-      from = events_.begin();
-    }
-  }
-  events_.erase(std::unique(from, events_.end()), events_.end());
+  // Merge in only the old events the new ones reach, then deduplicate from
+  // the last old event before them, which may equal the first new one.
+  const auto from = std::upper_bound(events_.begin(), added, *added);
+  std::inplace_merge(from, added, events_.end());
+  events_.erase(std::unique(from == events_.begin() ? from : from - 1, events_.end()),
+                events_.end());
   sorted_ = events_.size();
 }
 

@@ -20,9 +20,10 @@ class InputSchedule {
   void add(const InputSpike& s) { events_.push_back(s); }
 
   /// Sorts and deduplicates the events added since the previous call. Must
-  /// be called after the last add() and before the next at(). Events at or
-  /// after the current last one cost only their own sort; an earlier one
-  /// merges the whole schedule. A call with nothing added returns at once.
+  /// be called after the last add() and before the next at(). New events
+  /// cost their own sort plus a merge with the old events after the earliest
+  /// of them: none when they land at or after the current last one. A call
+  /// with nothing added returns at once.
   void finalize();
 
   /// All events scheduled for `tick` (finalize() required first).

@@ -129,14 +129,19 @@ TEST(InputScheduleTest, AddAfterFinalizeIsIndexedByTheNextFinalize) {
 
 TEST(InputScheduleTest, IncrementalFinalizeMatchesOneShotBuild) {
   // Batches land after, before, between and equal to events already
-  // finalized; after each finalize() the schedule must equal the sorted,
-  // deduplicated set of every event so far, tick by tick.
+  // finalized, equal to the old event just before the merged suffix, and
+  // before one far-future event; after each finalize() the schedule must
+  // equal the sorted, deduplicated set of every event so far, tick by tick.
   const std::vector<std::vector<InputSpike>> batches = {
       {{4, 1, 2}, {2, 0, 9}, {4, 0, 1}},
       {{9, 3, 3}, {4, 1, 2}, {6, 2, 0}},
       {{1, 0, 0}, {4, 0, 0}, {9, 3, 3}, {9, 3, 3}},
       {{9, 3, 4}, {12, 0, 1}},
       {{9, 0, 0}, {12, 0, 1}},
+      {{6, 2, 0}, {7, 0, 0}},
+      {{40, 1, 1}},
+      {{13, 0, 0}},
+      {{13, 0, 0}, {14, 2, 2}},
   };
   InputSchedule grown;
   std::vector<InputSpike> all;
@@ -150,7 +155,7 @@ TEST(InputScheduleTest, IncrementalFinalizeMatchesOneShotBuild) {
     std::sort(want.begin(), want.end());
     want.erase(std::unique(want.begin(), want.end()), want.end());
     ASSERT_TRUE(std::ranges::equal(grown.events(), want));
-    for (Tick t = -1; t <= 13; ++t) {
+    for (Tick t = -1; t <= 41; ++t) {
       std::vector<InputSpike> due;
       for (const InputSpike& e : want) {
         if (e.tick == t) due.push_back(e);
@@ -158,8 +163,8 @@ TEST(InputScheduleTest, IncrementalFinalizeMatchesOneShotBuild) {
       EXPECT_TRUE(std::ranges::equal(grown.at(t), due)) << "tick " << t;
     }
   }
-  EXPECT_EQ(grown.size(), 10u);
-  EXPECT_EQ(grown.last_tick(), 12);
+  EXPECT_EQ(grown.size(), 14u);
+  EXPECT_EQ(grown.last_tick(), 40);
 }
 
 TEST(InputScheduleTest, EmptySchedule) {

@@ -137,9 +137,9 @@ int main(int argc, char** argv) {
     const int respawn_budget = a.integer("--respawn-budget", 3, 0);
     const int kill_rank = a.integer("--kill-rank", -1);
     const auto kill_tick = a.integer<nsc::core::Tick>("--kill-tick", -1);
-    const int hung_rank = a.integer("--hang-rank", -1);
-    const auto hung_tick = a.integer<nsc::core::Tick>("--hang-tick", -1);
-    const bool rank_fault = kill_rank >= 0 || hung_rank >= 0;
+    const int hang_rank = a.integer("--hang-rank", -1);
+    const auto hang_tick = a.integer<nsc::core::Tick>("--hang-tick", -1);
+    const bool rank_fault = kill_rank >= 0 || hang_rank >= 0;
     nsc::cli::check({
         {net_path.empty(), "--net is required"},
         {ranks > 1 && backend != "compass", "--ranks requires --backend compass"},
@@ -160,11 +160,11 @@ int main(int argc, char** argv) {
         {a.has("--rank-deadline-ms") && ranks < 2, "--rank-deadline-ms requires --ranks >= 2"},
         {(kill_rank >= 0) != (kill_tick >= 0),
          "--kill-rank and --kill-tick must be given together"},
-        {(hung_rank >= 0) != (hung_tick >= 0),
+        {(hang_rank >= 0) != (hang_tick >= 0),
          "--hang-rank and --hang-tick must be given together"},
         {rank_fault && ranks < 2, "--kill-rank/--hang-rank require --ranks >= 2"},
-        {kill_rank >= ranks || hung_rank >= ranks, "--kill-rank/--hang-rank must be < --ranks"},
-        {hung_rank >= 0 && rank_deadline_ms < 1,
+        {kill_rank >= ranks || hang_rank >= ranks, "--kill-rank/--hang-rank must be < --ranks"},
+        {hang_rank >= 0 && rank_deadline_ms < 1,
          "--hang-rank requires --rank-deadline-ms (a hang with no deadline would never be "
          "detected)"},
     });
@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
     // boundaries, deterministically.
     nsc::fault::Campaign campaign;
     if (kill_rank >= 0) campaign.kill_rank_at(kill_tick, kill_rank);
-    if (hung_rank >= 0) campaign.hang_rank_at(hung_tick, hung_rank);
+    if (hang_rank >= 0) campaign.hang_rank_at(hang_tick, hang_rank);
     campaign.finalize();
 
     // Restore (if asked), run --ticks further ticks — splitting the run
