@@ -304,15 +304,16 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
     emit("NSC043", os.str());
   }
 
-  // NSC044: ranks heartbeat only while waiting (every deadline/4 ms); a
-  // compute phase longer than that window risks a false RankTimeout.
+  // NSC044: a rank's per-tick frame is its only liveness signal, so a tick
+  // that may run past deadline/4 (a conservative margin for scheduling and
+  // sanitizer slowdown) risks a false RankTimeout.
   if (spec.rank_deadline_ms > 0 && spec.ranks > 1) {
     const double quarter_ns = static_cast<double>(spec.rank_deadline_ms) * 1e6 / 4.0;
     if (plan.est_tick_ns > quarter_ns) {
       std::ostringstream os;
       os << "worst-case tick bound " << plan.est_tick_ns / 1e6 << " ms exceeds "
          << "rank-deadline-ms/4 = " << quarter_ns / 1e6 << " ms; a healthy rank can be "
-         << "silent longer than the heartbeat window and be killed as hung (false "
+         << "silent between its per-tick frames long enough to be killed as hung (false "
          << "RankTimeout) — raise --rank-deadline-ms to >= "
          << static_cast<std::uint64_t>(plan.est_tick_ns * 4.0 / 1e6) + 1;
       emit("NSC044", os.str());

@@ -159,7 +159,7 @@ class Simulator final : public core::Simulator {
   void dist_deliver(const WordDelivery* words, std::size_t n);
 
   /// Folds per-partition counters into stats() and advances now() by
-  /// `nticks`; call once per completed run segment (run()'s tail).
+  /// `nticks`: run()'s tail, and a dist rank's after every tick it reports.
   void dist_end_run(core::Tick nticks);
 
  private:

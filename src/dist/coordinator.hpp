@@ -99,16 +99,18 @@ class Coordinator final : public core::Simulator {
   }
 
  private:
-  /// Collects and folds one kReport from every live rank (ranks that die
-  /// while we wait are absorbed via on_rank_death).
+  /// Folds one rank report into the aggregate view: the only path a rank's
+  /// counts take into stats() and metrics().
+  void fold_report(int r, const RankReport& rep);
+  /// Collects and folds the kReport that answers kFailCore, kFailLink or
+  /// kLoad from every live rank (ranks that die while we wait are absorbed
+  /// via on_rank_death).
   void collect_reports();
   void on_rank_death(int r);
   void broadcast(MsgKind kind, const void* payload, std::size_t size);
-  /// Deadline-aware receive from rank r: drains kHeartbeat frames (each one
-  /// refreshes the silence window), returns false after absorbing an EOF
-  /// death, and on deadline expiry kills the hung rank, absorbs its death,
-  /// and throws RankTimeout. With rank_deadline_ms == 0 this is exactly the
-  /// old blocking recv_frame.
+  /// Deadline-aware receive from rank r: returns false after absorbing an
+  /// EOF death, and on deadline expiry kills the hung rank, absorbs its
+  /// death, and throws RankTimeout. With rank_deadline_ms == 0 it blocks.
   bool recv_from_rank(int r, ipc::Frame& f);
 
   const core::Network& net_;

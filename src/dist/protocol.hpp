@@ -8,10 +8,15 @@
 //
 // Channels and directions:
 //   coordinator -> rank : kRun, kFailCore, kFailLink, kSave, kLoad, kShutdown
-//   rank -> coordinator : kTickSpikes (one per tick while recording),
-//                         kReport (end of every command), kBlob (kSave reply),
-//                         kHeartbeat (liveness, only when a deadline is set)
+//   rank -> coordinator : kTick (one per tick of a kRun, recording or not),
+//                         kReport (kFailCore, kFailLink and kLoad reply),
+//                         kBlob (kSave reply)
 //   rank <-> rank       : kSpikeBatch (exactly one per tick per live peer)
+//
+// kTick payload: RankReport (what the tick counted), int64 tick, uint32
+// spike count, uint32 padding, then that many core::Spike records (none
+// unless the kRun asked to record). It is also the rank's liveness signal:
+// the coordinator's deadline (Config::rank_deadline_ms) watches for it.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +31,7 @@ namespace nsc::dist {
 enum class MsgKind : std::uint32_t {
   kRun = 1,        ///< nticks + record flag + the input-spike window.
   kSpikeBatch = 2, ///< tick + destination-rank-batched WordDelivery records.
-  kTickSpikes = 3, ///< tick + this rank's recorded spikes for that tick.
+  kTick = 3,       ///< RankReport + tick + this rank's recorded spikes for that tick.
   kReport = 4,     ///< RankReport: what the rank counted since its previous report.
   kFailCore = 5,   ///< core id to fail at this command boundary.
   kFailLink = 6,   ///< chip + direction of the inter-chip link to fail.
@@ -34,17 +39,16 @@ enum class MsgKind : std::uint32_t {
   kBlob = 8,       ///< checkpoint bytes (kSave reply).
   kLoad = 9,       ///< checkpoint bytes to restore.
   kShutdown = 10,  ///< clean exit request.
-  kHeartbeat = 11, ///< empty liveness frame: refreshes the rank's last-seen
-                   ///< clock so a slow rank is never mistaken for a hung one.
 };
 
-/// What a rank counted since its previous report: the shared counter block
-/// of its simulator (src/step/metrics.hpp), with in-flight spikes lost to a
-/// peer's death added to fault_dropped, plus the rank loop's own four
-/// figures. Deltas, not totals, keep the coordinator's aggregate view
-/// authoritative: it folds every report as it arrives, exactly as compass
-/// folds partitions, and a checkpoint restore, which overwrites rank-local
-/// totals with the global snapshot's, cannot double-count.
+/// What a rank counted since its previous report (the previous tick, inside
+/// a kRun): the shared counter block of its simulator (src/step/metrics.hpp),
+/// with in-flight spikes lost to a peer's death added to fault_dropped, plus
+/// the rank loop's own four figures. Deltas, not totals, keep the
+/// coordinator's aggregate view authoritative: it folds every report as it
+/// arrives, exactly as compass folds partitions, so a rank that dies keeps
+/// every tick it reported, and a checkpoint restore, which overwrites
+/// rank-local totals with the global snapshot's, cannot double-count.
 struct RankReport {
   step::StepCounters counters;
   std::uint64_t compute_ns = 0;     ///< Σ per-partition compute wall time.
@@ -53,6 +57,7 @@ struct RankReport {
   std::uint64_t dist_bytes = 0;     ///< Inter-rank payload bytes sent.
 };
 
+static_assert(sizeof(RankReport) == 256);
 static_assert(sizeof(core::Spike) == 16);
 static_assert(sizeof(core::InputSpike) == 16);
 static_assert(sizeof(compass::Simulator::WordDelivery) == 16);

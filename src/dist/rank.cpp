@@ -33,10 +33,10 @@ struct RankState {
   std::uint64_t wire_dropped = 0;
 };
 
-/// Sends what was counted since the previous report and starts the next one
-/// from zero: the simulator's counters and partition times are zeroed, so
-/// they always hold exactly the unreported share.
-bool send_report(RankState& st, ipc::Channel& parent) {
+/// What was counted since the previous report; the next one starts from
+/// zero: the simulator's counters and partition times are zeroed, so they
+/// always hold exactly the unreported share.
+RankReport take_report(RankState& st) {
   compass::Simulator& sim = *st.sim;
   RankReport r = std::exchange(st.next, RankReport{});
   r.counters = sim.counters();
@@ -44,6 +44,12 @@ bool send_report(RankState& st, ipc::Channel& parent) {
   for (const std::uint64_t ns : sim.partition_compute_ns()) r.compute_ns += ns;
   sim.reset_stats();
   sim.reset_metrics();
+  return r;
+}
+
+/// Answers a kFailCore, kFailLink or kLoad with a kReport.
+bool send_report(RankState& st, ipc::Channel& parent) {
+  const RankReport r = take_report(st);
   return parent.send_frame(static_cast<std::uint32_t>(MsgKind::kReport), &r, sizeof r);
 }
 
@@ -68,15 +74,15 @@ void fire_faults(const Config& cfg, int rank, RankFault::When when, core::Tick a
   }
 }
 
-/// One run segment: nticks of dist_tick + peer exchange (+ per-tick spike
-/// frames to the coordinator when recording). Returns false when the parent
-/// channel died (the rank should exit).
+/// One run segment: nticks of dist_tick + peer exchange, each tick ending
+/// with one kTick frame to the coordinator that carries the tick's report
+/// and, when recording, its spikes. Returns false when the parent channel
+/// died (the rank should exit).
 bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& parent,
                  ipc::PeerPump& pump, core::Tick nticks, bool record,
                  const core::InputSchedule& inputs) {
   compass::Simulator& sim = *st.sim;
   const int R = cfg.ranks;
-  const core::Tick start = sim.now();
   std::vector<ipc::Frame> out(static_cast<std::size_t>(R));
   std::vector<ipc::Frame> in;
   std::vector<int> newly_dead;
@@ -88,15 +94,8 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
   // silence makes the coordinator kill *it* as collateral.
   const int pump_deadline_ms =
       cfg.rank_deadline_ms > 0 ? std::max(1, cfg.rank_deadline_ms / 2) : 0;
-  // While recording, the per-tick kTickSpikes frames are the liveness
-  // signal; otherwise send explicit heartbeats, throttled to one per
-  // deadline/4 so a long unsupervised segment cannot flood the socket.
-  const bool heartbeats = !record && cfg.rank_deadline_ms > 0;
-  const std::uint64_t hb_interval_ns =
-      static_cast<std::uint64_t>(cfg.rank_deadline_ms) * 1000000ULL / 4;
-  std::uint64_t last_hb = obs::now_ns();
   for (core::Tick i = 0; i < nticks; ++i) {
-    const core::Tick t = start + i;
+    const core::Tick t = sim.now();
     fire_faults(cfg, rank, RankFault::When::kPreCompute, t);
     sim.dist_tick(t, &inputs, record ? &spikes : nullptr);
     fire_faults(cfg, rank, RankFault::When::kPostCompute, t);
@@ -143,27 +142,20 @@ bool run_segment(RankState& st, const Config& cfg, int rank, ipc::Channel& paren
     st.next.exchange_ns += obs::now_ns() - x0;
     fire_faults(cfg, rank, RankFault::When::kPostExchange, t);
 
-    if (heartbeats && obs::now_ns() - last_hb >= hb_interval_ns) {
-      if (!parent.send_frame(static_cast<std::uint32_t>(MsgKind::kHeartbeat), nullptr, 0)) {
-        return false;
-      }
-      last_hb = obs::now_ns();
-    }
-    if (record) {
-      tick_payload.clear();
-      ipc::put_pod(tick_payload, static_cast<std::int64_t>(t));
-      ipc::put_pod(tick_payload, static_cast<std::uint32_t>(spikes.spikes().size()));
-      ipc::put_pod(tick_payload, std::uint32_t{0});
-      ipc::put_pod_array(tick_payload, spikes.spikes().data(), spikes.spikes().size());
-      spikes.clear();
-      if (!parent.send_frame(static_cast<std::uint32_t>(MsgKind::kTickSpikes),
-                             tick_payload.data(), tick_payload.size())) {
-        return false;
-      }
+    sim.dist_end_run(1);
+    tick_payload.clear();
+    ipc::put_pod(tick_payload, take_report(st));
+    ipc::put_pod(tick_payload, static_cast<std::int64_t>(t));
+    ipc::put_pod(tick_payload, static_cast<std::uint32_t>(spikes.spikes().size()));
+    ipc::put_pod(tick_payload, std::uint32_t{0});
+    ipc::put_pod_array(tick_payload, spikes.spikes().data(), spikes.spikes().size());
+    spikes.clear();
+    if (!parent.send_frame(static_cast<std::uint32_t>(MsgKind::kTick), tick_payload.data(),
+                           tick_payload.size())) {
+      return false;
     }
   }
-  sim.dist_end_run(nticks);
-  return send_report(st, parent);
+  return true;
 }
 
 }  // namespace
@@ -186,7 +178,7 @@ int rank_main(const core::Network& net, const Config& cfg, Spawned&& spawned) {
 
   int saves_seen = 0;
   ipc::Frame cmd;
-  while (parent.recv_frame(cmd)) {
+  while (parent.recv_frame_deadline(cmd, 0) == ipc::RecvStatus::kOk) {
     switch (static_cast<MsgKind>(cmd.kind)) {
       case MsgKind::kRun: {
         std::size_t off = 0;

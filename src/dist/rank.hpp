@@ -44,8 +44,8 @@ struct Config {
   std::vector<RankFault> faults{};
   int incarnation = 0;
   /// Failure-detection deadline: declare a silent rank hung (and kill it)
-  /// after this many ms without bytes or heartbeats. 0 = disabled — waits
-  /// block forever exactly as before the deadline layer existed.
+  /// after this many ms without a byte of the frame it owes (a kTick every
+  /// tick of a run, a reply otherwise). 0 = disabled — waits block forever.
   int rank_deadline_ms = 0;
 };
 

@@ -19,37 +19,41 @@ namespace {
 constexpr int kBackoffMs = 5;
 constexpr int kBackoffCapMs = 2000;
 
-/// Per-segment output buffer: spikes and tick-end marks are replayed to the
-/// user sink only after the segment is known good, and only for ticks at or
-/// past the committed watermark — a rollback replays the pre-fault prefix
-/// without double-emitting it.
+/// Per-segment output buffer: each tick's spikes are kept until the segment
+/// is known good, then replayed to the user sink as one on_spike_batch plus
+/// on_tick_end per tick, and only for ticks at or past the committed
+/// watermark — a rollback replays the pre-fault prefix without
+/// double-emitting it. The coordinator ends every tick it runs.
 class BufferSink final : public core::SpikeSink {
  public:
   void on_spike(Tick tick, core::CoreId c, std::uint16_t neuron) override {
-    ev_.push_back({tick, c, neuron, 0});
+    spikes_.push_back({tick, c, neuron});
   }
-  void on_tick_end(Tick tick) override { ev_.push_back({tick, 0, 0, 1}); }
+  void on_spike_batch(const core::Spike* spikes, std::size_t n) override {
+    spikes_.insert(spikes_.end(), spikes, spikes + n);
+  }
+  void on_tick_end(Tick tick) override { ends_.push_back({tick, spikes_.size()}); }
 
   void flush(core::SpikeSink& out, Tick committed) {
-    for (const Ev& e : ev_) {
-      if (e.tick < committed) continue;
-      if (e.end != 0) {
+    std::size_t begin = 0;
+    for (const TickEnd& e : ends_) {
+      if (e.tick >= committed) {
+        out.on_spike_batch(spikes_.data() + begin, e.end - begin);
         out.on_tick_end(e.tick);
-      } else {
-        out.on_spike(e.tick, e.core, e.neuron);
       }
+      begin = e.end;
     }
-    ev_.clear();
+    spikes_.clear();
+    ends_.clear();
   }
 
  private:
-  struct Ev {
+  struct TickEnd {
     Tick tick;
-    core::CoreId core;
-    std::uint16_t neuron;
-    std::uint8_t end;
+    std::size_t end;  ///< One past the tick's last spike in spikes_.
   };
-  std::vector<Ev> ev_;
+  std::vector<core::Spike> spikes_;
+  std::vector<TickEnd> ends_;
 };
 
 }  // namespace

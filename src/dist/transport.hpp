@@ -5,9 +5,9 @@
 // src/ipc/ layer, which nsc_serve uses too; the dist code names them there.
 // What remains in this translation unit is the dist-specific part: the full
 // socketpair mesh + fork of the rank fleet (together with src/ipc this is
-// the only home of raw process/socket syscalls — lint_invariants
-// INV005/INV006). Rank processes exit through util::exit_process_nounwind
-// and are signalled and reaped through the ipc process helpers.
+// the only home of raw fork/socket syscalls — lint_invariants INV005).
+// Rank processes exit through util::exit_process_nounwind and are signalled
+// and reaped through the ipc process helpers.
 //
 // Topology: spawn_ranks(N) builds a full mesh — one Unix-domain stream
 // socketpair per (coordinator, rank) pair and one per unordered rank pair —
@@ -27,7 +27,7 @@ namespace nsc::dist {
 
 /// Thrown when a rank stays silent past its configured I/O deadline
 /// (Config::rank_deadline_ms): the rank was declared hung (not merely slow —
-/// heartbeats would have refreshed its last-seen clock), its process has
+/// its per-tick frames would have reset the silence window), its process has
 /// already been killed and its death absorbed, so the exception is safe to
 /// catch and recover from (dist::Supervisor) or to surface as a clean
 /// non-zero exit (nsc_run).

@@ -5,11 +5,11 @@
 // future elastic re-sharding migration path — speaks the same wire unit: one
 // frame = an 8-byte (kind, size) header followed by `size` payload bytes.
 //
-// This directory (together with src/dist/transport*) is the only home
-// allowed to touch raw socket/process/poll syscalls (lint_invariants
-// INV005/INV006): everything above it talks in framed messages over an
-// abstract Channel, so fd hygiene, EOF-based death detection and every
-// liveness decision stay auditable in one place.
+// This directory is the only home allowed to touch raw poll/kill/waitpid
+// syscalls (lint_invariants INV006), and, together with src/dist/transport*,
+// raw fork/socket calls (INV005): everything above it talks in framed
+// messages over an abstract Channel, so fd hygiene, EOF-based death
+// detection and every liveness decision stay auditable in one place.
 #pragma once
 
 #include <cstdint>
@@ -28,17 +28,32 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// The frame header as it travels on the wire.
-struct FrameHeader {
-  std::uint32_t kind = 0;
-  std::uint32_t size = 0;
-};
-static_assert(sizeof(FrameHeader) == 8);
-
 /// Upper bound on a single frame payload: the largest legitimate frame is a
 /// checkpoint blob (tens of MB for the biggest test nets); anything past
 /// this is a corrupted header, rejected before allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 1U << 30;
+
+// --- The frame codec of buffered endpoints (PeerPump, the serve daemon).
+// Channel's blocking send_frame/recv_frame_deadline write and read the same
+// header in place, so a payload goes between socket and caller uncopied.
+
+/// Appends one frame to `out`: the 8-byte (kind, size) header, then `size`
+/// payload bytes.
+void append_frame(std::vector<std::uint8_t>& out, std::uint32_t kind, const void* payload,
+                  std::size_t size);
+
+/// What take_frame found at the read offset.
+enum class TakeStatus {
+  kIncomplete,  ///< The frame's last byte has not arrived yet.
+  kFrame,       ///< A whole frame was decoded.
+  kOversized,   ///< The header claims more than `max_payload` bytes: the
+                ///< stream cannot be resynchronized.
+};
+
+/// Decodes the frame that starts at buf[off]. On kFrame, `out` holds it and
+/// `off` points just past it; otherwise neither `off` nor `out` changes.
+TakeStatus take_frame(const std::vector<std::uint8_t>& buf, std::size_t& off,
+                      std::uint32_t max_payload, Frame& out);
 
 /// Outcome of a deadline-bounded frame receive.
 enum class RecvStatus {
@@ -68,15 +83,13 @@ class Channel {
   /// the channel is dead. Signals are never raised (MSG_NOSIGNAL).
   bool send_frame(std::uint32_t kind, const void* payload, std::size_t size);
 
-  /// Receives one frame (blocking); false on EOF or a dead channel. Throws
+  /// Receives one frame, the only blocking receive. It waits at most
+  /// `deadline_ms` of silence for progress (the clock resets on every byte,
+  /// so a slow-but-streaming peer never times out while a wedged one does);
+  /// deadline_ms <= 0 waits forever, without a poll call. kClosed on EOF or
+  /// a dead channel. On kTimeout the channel may hold a partial frame — the
+  /// caller must not reuse it for framed I/O (kill + close it). Throws
   /// std::runtime_error when the header claims an implausible payload size.
-  bool recv_frame(Frame& out);
-
-  /// Deadline-bounded receive: waits at most `deadline_ms` of silence for
-  /// progress (the clock resets on every byte, so a slow-but-streaming peer
-  /// never times out while a wedged one does). deadline_ms <= 0 degrades to
-  /// the blocking recv_frame. On kTimeout the channel may hold a partial
-  /// frame — the caller must not reuse it for framed I/O (kill + close it).
   RecvStatus recv_frame_deadline(Frame& out, int deadline_ms);
 
   /// Non-blocking read of whatever bytes are available (at most one 64 KiB
@@ -118,8 +131,6 @@ class PeerPump {
              std::vector<int>& newly_dead, int deadline_ms = 0);
 
  private:
-  bool try_extract(std::size_t i, Frame& f);
-
   std::vector<Channel>* peers_;
   int self_;
   std::vector<std::vector<std::uint8_t>> rbuf_;  ///< Per-peer receive accumulation.
@@ -131,8 +142,9 @@ class PeerPump {
 template <class T>
 void put_pod(std::vector<std::uint8_t>& buf, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(T));
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(T));
+  std::memcpy(buf.data() + at, &v, sizeof(T));
 }
 
 /// Reads a POD back, advancing `off`; throws on truncated payloads so a

@@ -28,12 +28,6 @@ bool make_addr(const std::string& path, sockaddr_un& addr) {
   return true;
 }
 
-long long ms_since(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
-
 volatile std::sig_atomic_t g_stop_flag = 0;
 
 extern "C" void stop_signal_handler(int) { g_stop_flag = 1; }
@@ -111,6 +105,12 @@ Channel connect_unix(const std::string& path) {
     ::close(fd);
     return Channel();
   }
+}
+
+long long ms_since(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - since)
+      .count();
 }
 
 int poll_wait(std::vector<PollItem>& items, int timeout_ms) {

@@ -6,6 +6,7 @@
 // hygiene and liveness decisions stay auditable in one place.
 #pragma once
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <string>
@@ -62,6 +63,10 @@ struct PollItem {
   bool writable = false;
   bool hangup = false;    ///< POLLHUP/POLLERR/POLLNVAL.
 };
+
+/// Milliseconds elapsed since `since` on the monotonic clock: every deadline
+/// in this layer counts on it, so wall-clock adjustments cannot fire one.
+[[nodiscard]] long long ms_since(std::chrono::steady_clock::time_point since);
 
 /// Waits up to `timeout_ms` (-1 = forever) for events on `items`. Returns
 /// the number of ready items, 0 on timeout, or -1 when interrupted by a

@@ -18,10 +18,7 @@ Client Client::connect(const std::string& socket_path, int connect_deadline_ms,
   for (;;) {
     ipc::Channel ch = ipc::connect_unix(socket_path);
     if (ch.alive()) return Client(std::move(ch), reply_deadline_ms);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-    if (elapsed >= connect_deadline_ms) {
+    if (ipc::ms_since(start) >= connect_deadline_ms) {
       throw std::runtime_error("serve client: cannot connect to '" + socket_path + "'");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -17,6 +17,7 @@ std::string_view error_code_name(ErrorCode code) noexcept {
 
 std::vector<std::uint8_t> encode_error(ErrorCode code, const std::string& msg) {
   std::vector<std::uint8_t> buf;
+  buf.reserve(sizeof(ErrorReply) + msg.size());
   const ErrorReply hdr{static_cast<std::uint32_t>(code),
                        static_cast<std::uint32_t>(msg.size())};
   ipc::put_pod(buf, hdr);

@@ -1,6 +1,5 @@
 #include "src/serve/server.hpp"
 
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -137,20 +136,14 @@ void Server::read_conn(Conn& conn) {
 bool Server::pump_frames(Conn& conn) {
   std::size_t off = 0;
   bool framing_ok = true;
+  ipc::Frame f;
   while (!conn.dead) {
-    if (conn.rbuf.size() - off < sizeof(ipc::FrameHeader)) break;
-    ipc::FrameHeader h;
-    std::memcpy(&h, conn.rbuf.data() + off, sizeof h);
-    if (h.size > kMaxCommandPayload) {
+    const ipc::TakeStatus st = ipc::take_frame(conn.rbuf, off, kMaxCommandPayload, f);
+    if (st == ipc::TakeStatus::kIncomplete) break;
+    if (st == ipc::TakeStatus::kOversized) {
       framing_ok = false;  // Unresyncable garbage: kill the connection.
       break;
     }
-    if (conn.rbuf.size() - off < sizeof h + h.size) break;
-    ipc::Frame f;
-    f.kind = h.kind;
-    f.payload.assign(conn.rbuf.begin() + static_cast<std::ptrdiff_t>(off + sizeof h),
-                     conn.rbuf.begin() + static_cast<std::ptrdiff_t>(off + sizeof h + h.size));
-    off += sizeof h + h.size;
     ++metrics_.counter("serve.frames_rx");
     dispatch(conn, f);
   }
@@ -354,16 +347,10 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
 }
 
 void Server::reply(Conn& conn, Cmd kind, const void* payload, std::size_t size) {
-  const ipc::FrameHeader h{static_cast<std::uint32_t>(kind),
-                           static_cast<std::uint32_t>(size)};
-  const auto* hp = reinterpret_cast<const std::uint8_t*>(&h);
-  conn.wbuf.insert(conn.wbuf.end(), hp, hp + sizeof h);
-  if (size > 0) {
-    const auto* pp = static_cast<const std::uint8_t*>(payload);
-    conn.wbuf.insert(conn.wbuf.end(), pp, pp + size);
-  }
+  const std::size_t before = conn.wbuf.size();
+  ipc::append_frame(conn.wbuf, static_cast<std::uint32_t>(kind), payload, size);
   ++metrics_.counter("serve.frames_tx");
-  metrics_.counter("serve.bytes_tx") += sizeof h + size;
+  metrics_.counter("serve.bytes_tx") += conn.wbuf.size() - before;
   if (conn.wbuf.size() - conn.woff > cfg_.max_conn_out_bytes) {
     // Slow-client shedding: the tenant is not draining replies; evicting it
     // (and its sessions) protects every other tenant's latency and the

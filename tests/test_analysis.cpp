@@ -238,7 +238,9 @@ TEST(LintRule, NSC024UnreachableCore) {
   const LintReport report = lint(net);
   ASSERT_TRUE(report.has_rule("NSC024"));
   for (const Finding& f : report.findings) {
-    if (f.rule == "NSC024") EXPECT_EQ(f.core, 0u) << "only the source core is unreachable";
+    if (f.rule == "NSC024") {
+      EXPECT_EQ(f.core, 0u) << "only the source core is unreachable";
+    }
   }
 }
 
@@ -290,7 +292,9 @@ TEST(LintRule, NSC040StochasticModes) {
   const LintReport report = lint(net);
   ASSERT_TRUE(report.has_rule("NSC040"));
   for (const Finding& f : report.findings) {
-    if (f.rule == "NSC040") EXPECT_EQ(f.count, 2u);
+    if (f.rule == "NSC040") {
+      EXPECT_EQ(f.count, 2u);
+    }
   }
 }
 

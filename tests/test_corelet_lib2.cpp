@@ -158,7 +158,9 @@ TEST_P(GateTruth, MatchesTruthTable) {
   EXPECT_EQ(fired, gc.want ? 1 : 0);
   if (gc.want) {
     for (const Spike& s : spikes) {
-      if (s.neuron == 0) EXPECT_EQ(s.tick, t0 + gc.latency);
+      if (s.neuron == 0) {
+        EXPECT_EQ(s.tick, t0 + gc.latency);
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 // fixtures, checkpoint interchange, fault campaigns, and rank death.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 #include <sstream>
@@ -109,7 +110,9 @@ TEST(DistConformance, AggregatedStatsMatchSingleProcess) {
   EXPECT_GT(testsup::counter_value(coord.metrics(), "dist.messages"), 0u);
   EXPECT_GT(testsup::counter_value(coord.metrics(), "dist.bytes"), 0u);
   // Timer-derived: per-rank compute time is all zeros with -DNEUROSYN_OBS=OFF.
-  if (obs::kEnabled) EXPECT_GE(coord.load_imbalance(), 1.0);
+  if (obs::kEnabled) {
+    EXPECT_GE(coord.load_imbalance(), 1.0);
+  }
   EXPECT_EQ(coord.rank_compute_ns().size(), 3u);
 }
 
@@ -522,9 +525,10 @@ TEST(DistRecover, InvalidSupervisorConfigRejected) {
 }
 
 TEST(DistRecover, StatsOnlyRunHealsOnMissedHeartbeats) {
-  // With no sink the ranks stream no per-tick spikes — heartbeats are the
-  // only liveness signal. A wedged rank stops sending them, the deadline
-  // fires, and the supervisor respawns; the run completes with full stats.
+  // With no sink each rank's per-tick frame carries only its report, and is
+  // still the only liveness signal. A wedged rank stops sending them, the
+  // deadline fires, and the supervisor respawns; the run completes with
+  // full stats.
   const Network net = testsup::hard_network();
   const InputSchedule in = testsup::hard_inputs(net, 30);
   dist::Config cfg;
@@ -612,6 +616,28 @@ TEST(DistFault, FirstRankDeathDoesNotStallRecordStream) {
   EXPECT_EQ(coord.live_ranks(), 1);
   EXPECT_FALSE(coord.rank_alive(0));
   EXPECT_TRUE(coord.rank_alive(1));
+}
+
+TEST(DistFault, RankDeathInsideOneRunKeepsItsCountedTicks) {
+  // Each rank reports every tick it runs, so a rank that dies inside one
+  // run(30) keeps the ticks it counted: the totals equal the spikes the
+  // sink got and those of the same run driven in 4-tick calls.
+  const Network net = testsup::hard_network();
+  const InputSchedule in = testsup::hard_inputs(net, 30);
+  dist::Config cfg{.ranks = 2, .threads_per_rank = 1};
+  cfg.faults = {{.rank = 1, .at = 12}};
+
+  dist::Coordinator whole(net, cfg);
+  VectorSink sink;
+  whole.run(30, &in, &sink);
+  EXPECT_FALSE(whole.rank_alive(1));
+  EXPECT_EQ(whole.stats().spikes, sink.spikes().size());
+
+  dist::Coordinator split(net, cfg);
+  VectorSink split_sink;
+  for (Tick t = 0; t < 30; t += 4) split.run(std::min<Tick>(4, 30 - t), &in, &split_sink);
+  expect_spikes_equal(split_sink.spikes(), sink.spikes(), "one run vs 4-tick calls");
+  testsup::expect_stats_equal(split.stats(), whole.stats(), "one run vs 4-tick calls");
 }
 
 // ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ TEST_P(FaultSweep, DegradedNetworkStaysCorrectAndEquivalent) {
   spec.seed = 17;
   Network net = netgen::make_recurrent(spec);
   const int faulted = inject_faults(net, fraction, 99);
-  if (fraction > 0) EXPECT_GT(faulted, 0);
+  if (fraction > 0) {
+    EXPECT_GT(faulted, 0);
+  }
 
   tn::TrueNorthSimulator tn_sim(net);
   VectorSink tn_sink;
@@ -43,7 +45,9 @@ TEST_P(FaultSweep, DegradedNetworkStaysCorrectAndEquivalent) {
   for (const auto& s : tn_sink.spikes()) {
     EXPECT_FALSE(net.core(s.core).disabled != 0) << "spike from faulted core " << s.core;
   }
-  if (fraction < 0.5) EXPECT_GT(tn_sink.spikes().size(), 0u);
+  if (fraction < 0.5) {
+    EXPECT_GT(tn_sink.spikes().size(), 0u);
+  }
 
   // Degraded networks keep 1:1 equivalence.
   compass::Simulator cp(net, {.threads = 3});

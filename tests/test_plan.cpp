@@ -36,7 +36,7 @@ using core::Tick;
 
 Network make_ring(int ncores = 4) {
   Network net(Geometry{1, 1, 2, ncores / 2});
-  for (core::CoreId c = 0; c < ncores; ++c) {
+  for (core::CoreId c = 0; c < static_cast<core::CoreId>(ncores); ++c) {
     for (int j = 0; j < core::kCoreSize; ++j) {
       net.core(c).crossbar.set(j, j);
       core::NeuronParams& p = net.core(c).neuron[j];
@@ -186,7 +186,7 @@ TEST(PlanRule, NSC043ExchangeOverCapacity) {
 
 TEST(PlanRule, NSC044DeadlineInfeasible) {
   // Dense 16-core net at 2 ranks: >1 ms of bounded work per tick vs a 1 ms
-  // deadline whose heartbeat window is 250 us.
+  // deadline, whose quarter (the per-tick frame margin) is 250 us.
   const Network net = make_dense16();
   DeploymentSpec spec;
   spec.ranks = 2;
@@ -226,7 +226,9 @@ TEST(PlanRule, NSC047RecommendsDifferentRankCount) {
   const LintReport report = lint_with(net, DeploymentSpec{.ranks = 4});
   ASSERT_TRUE(report.has_rule("NSC047"));
   for (const analysis::Finding& f : report.findings) {
-    if (f.rule == "NSC047") EXPECT_EQ(f.severity, Severity::kInfo);
+    if (f.rule == "NSC047") {
+      EXPECT_EQ(f.severity, Severity::kInfo);
+    }
   }
 }
 

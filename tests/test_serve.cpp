@@ -167,8 +167,62 @@ ErrorCode error_code_of(const std::function<void()>& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// POD wire helpers (src/ipc/channel.hpp).
+// Frame codec and POD wire helpers (src/ipc/channel.hpp).
 // ---------------------------------------------------------------------------
+
+TEST(IpcFrame, TakeFrameWaitsForTheLastByteAndRefusesOversizedHeaders) {
+  std::vector<std::uint8_t> big(70000);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  std::vector<std::uint8_t> wire;
+  ipc::append_frame(wire, 5, nullptr, 0);
+  const std::size_t first_end = wire.size();
+  ipc::append_frame(wire, 9, big.data(), big.size());
+
+  // Fed one byte at a time, a frame is incomplete until its last byte.
+  std::vector<std::uint8_t> buf;
+  std::size_t off = 0;
+  ipc::Frame f;
+  std::vector<ipc::Frame> got;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    buf.push_back(wire[i]);
+    const bool last = i + 1 == first_end || i + 1 == wire.size();
+    ASSERT_EQ(ipc::take_frame(buf, off, serve::kMaxCommandPayload, f),
+              last ? ipc::TakeStatus::kFrame : ipc::TakeStatus::kIncomplete)
+        << "byte " << i;
+    if (last) {
+      EXPECT_EQ(off, i + 1);
+      got.push_back(f);
+    }
+  }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].kind, 5u);
+  EXPECT_TRUE(got[0].payload.empty());
+  EXPECT_EQ(got[1].kind, 9u);
+  EXPECT_EQ(got[1].payload, big);
+
+  // The same bytes in one block give both frames, then ask for more.
+  off = 0;
+  ASSERT_EQ(ipc::take_frame(wire, off, serve::kMaxCommandPayload, f), ipc::TakeStatus::kFrame);
+  EXPECT_EQ(f.kind, 5u);
+  EXPECT_TRUE(f.payload.empty());
+  EXPECT_EQ(off, first_end);
+  ASSERT_EQ(ipc::take_frame(wire, off, serve::kMaxCommandPayload, f), ipc::TakeStatus::kFrame);
+  EXPECT_EQ(f.kind, 9u);
+  EXPECT_EQ(f.payload, big);
+  EXPECT_EQ(off, wire.size());
+  EXPECT_EQ(ipc::take_frame(wire, off, serve::kMaxCommandPayload, f),
+            ipc::TakeStatus::kIncomplete);
+  EXPECT_EQ(off, wire.size());
+
+  // A header claiming one byte past the bound is refused before its payload.
+  std::vector<std::uint8_t> hostile;
+  ipc::put_pod(hostile, static_cast<std::uint32_t>(Cmd::kTick));
+  ipc::put_pod(hostile, serve::kMaxCommandPayload + 1);
+  off = 0;
+  EXPECT_EQ(ipc::take_frame(hostile, off, serve::kMaxCommandPayload, f),
+            ipc::TakeStatus::kOversized);
+  EXPECT_EQ(off, 0u);
+}
 
 TEST(IpcPod, ArraysMoveAsBlocksAndCheckBoundsFirst) {
   std::vector<std::uint8_t> payload;
