@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "src/analysis/graph.hpp"
 #include "src/analysis/plan.hpp"
@@ -68,87 +68,90 @@ const std::vector<RuleInfo>& rule_catalog() {
   return kCatalog;
 }
 
+const RuleInfo* find_rule(std::string_view id) {
+  for (const RuleInfo& r : rule_catalog()) {
+    if (r.id == id) return &r;
+  }
+  return nullptr;
+}
+
 namespace {
 
 Severity rule_severity(std::string_view id) {
-  for (const RuleInfo& r : rule_catalog()) {
-    if (r.id == id) return r.severity;
-  }
-  return Severity::kInfo;
+  const RuleInfo* r = find_rule(id);
+  return r != nullptr ? r->severity : Severity::kInfo;
 }
 
 /// Per-rule finding cap: per-core detail is kept for the first offenders and
-/// the tail is folded into one summary finding so reports stay bounded on
-/// million-core networks.
+/// the tail is folded into one summary finding.
 constexpr std::size_t kMaxFindingsPerRule = 32;
 
-class Recorder {
- public:
-  explicit Recorder(const LintOptions& options)
-      : suppress_(options.suppress.begin(), options.suppress.end()) {}
+}  // namespace
 
-  [[nodiscard]] bool suppressed(std::string_view rule) const {
-    return suppress_.count(std::string(rule)) != 0;
+Recorder::Recorder(std::vector<std::string> suppress) : suppress_(std::move(suppress)) {
+  std::sort(suppress_.begin(), suppress_.end());
+  suppress_.erase(std::unique(suppress_.begin(), suppress_.end()), suppress_.end());
+}
+
+bool Recorder::suppressed(std::string_view rule) const {
+  return std::binary_search(suppress_.begin(), suppress_.end(), rule);
+}
+
+void Recorder::emit(std::string_view rule, CoreId core, int neuron, std::string message,
+                    std::uint64_t count) {
+  if (suppressed(rule)) return;
+  Finding f;
+  f.rule = std::string(rule);
+  f.severity = rule_severity(rule);
+  f.message = std::move(message);
+  f.core = core;
+  f.neuron = neuron;
+  f.count = count;
+  findings_.push_back(std::move(f));
+}
+
+std::vector<Finding> Recorder::take() {
+  std::stable_sort(findings_.begin(), findings_.end(), [](const Finding& a, const Finding& b) {
+    if (a.severity != b.severity) return a.severity > b.severity;
+    if (a.rule != b.rule) return a.rule < b.rule;
+    return a.core < b.core;
+  });
+  std::vector<Finding> capped;
+  capped.reserve(findings_.size());
+  std::map<std::string, std::size_t> kept_per_rule;
+  // rule -> {cores, sites}
+  std::map<std::string, std::pair<std::size_t, std::uint64_t>> overflow;
+  for (auto& f : findings_) {
+    if (kept_per_rule[f.rule]++ < kMaxFindingsPerRule) {
+      capped.push_back(std::move(f));
+    } else {
+      auto& [cores, sites] = overflow[f.rule];
+      ++cores;
+      sites += f.count;
+    }
   }
-
-  void emit(std::string_view rule, CoreId core, int neuron, std::string message,
-            std::uint64_t count = 1) {
-    if (suppressed(rule)) return;
+  findings_.clear();
+  for (auto& [rule, tail] : overflow) {
     Finding f;
-    f.rule = std::string(rule);
+    f.rule = rule;
     f.severity = rule_severity(rule);
-    f.message = std::move(message);
-    f.core = core;
-    f.neuron = neuron;
-    f.count = count;
-    findings_.push_back(std::move(f));
+    std::ostringstream os;
+    os << "rule matched on " << tail.first << " more core(s), " << tail.second
+       << " further site(s) not listed individually";
+    f.message = os.str();
+    f.core = core::kInvalidCore;
+    f.neuron = -1;
+    f.count = tail.second;
+    // Insert after the last kept finding of the same rule to preserve the
+    // severity-major ordering.
+    auto it = std::find_if(capped.rbegin(), capped.rend(),
+                           [&](const Finding& g) { return g.rule == rule; });
+    capped.insert(it.base(), std::move(f));
   }
+  return capped;
+}
 
-  /// Sorted findings with the per-rule cap applied.
-  [[nodiscard]] std::vector<Finding> take() {
-    std::stable_sort(findings_.begin(), findings_.end(), [](const Finding& a, const Finding& b) {
-      if (a.severity != b.severity) return a.severity > b.severity;
-      if (a.rule != b.rule) return a.rule < b.rule;
-      return a.core < b.core;
-    });
-    std::vector<Finding> capped;
-    capped.reserve(findings_.size());
-    std::map<std::string, std::size_t> kept_per_rule;
-    // rule -> {cores, sites}
-    std::map<std::string, std::pair<std::size_t, std::uint64_t>> overflow;
-    for (auto& f : findings_) {
-      if (kept_per_rule[f.rule]++ < kMaxFindingsPerRule) {
-        capped.push_back(std::move(f));
-      } else {
-        auto& [cores, sites] = overflow[f.rule];
-        ++cores;
-        sites += f.count;
-      }
-    }
-    for (auto& [rule, tail] : overflow) {
-      Finding f;
-      f.rule = rule;
-      f.severity = rule_severity(rule);
-      std::ostringstream os;
-      os << "rule matched on " << tail.first << " more core(s), " << tail.second
-         << " further site(s) not listed individually";
-      f.message = os.str();
-      f.core = core::kInvalidCore;
-      f.neuron = -1;
-      f.count = tail.second;
-      // Insert after the last kept finding of the same rule to preserve the
-      // severity-major ordering.
-      auto it = std::find_if(capped.rbegin(), capped.rend(),
-                             [&](const Finding& g) { return g.rule == rule; });
-      capped.insert(it.base(), std::move(f));
-    }
-    return capped;
-  }
-
- private:
-  std::set<std::string> suppress_;
-  std::vector<Finding> findings_;
-};
+namespace {
 
 std::string at(CoreId core, int neuron) {
   std::ostringstream os;
@@ -446,11 +449,8 @@ Severity LintReport::max_severity() const noexcept {
 
 LintReport lint(const core::Network& net, const LintOptions& options) {
   LintReport report;
-  report.suppressed = options.suppress;
-  std::sort(report.suppressed.begin(), report.suppressed.end());
-  report.suppressed.erase(std::unique(report.suppressed.begin(), report.suppressed.end()),
-                          report.suppressed.end());
-  Recorder rec(options);
+  Recorder rec(options.suppress);
+  report.suppressed = rec.suppressed_rules();
 
   // NSC001: structural integrity gates everything else — a mis-sized core
   // vector makes per-core iteration meaningless.

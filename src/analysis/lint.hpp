@@ -59,6 +59,34 @@ struct RuleInfo {
 /// never reused, only retired.
 [[nodiscard]] const std::vector<RuleInfo>& rule_catalog();
 
+/// The catalog entry with ID `id`, or nullptr when the catalog has none.
+[[nodiscard]] const RuleInfo* find_rule(std::string_view id);
+
+/// Builds every report's finding list (lint, the planner rules, the
+/// checkpoint audit) the same way: findings of a suppressed rule are
+/// dropped, each finding takes its rule's catalog severity (info for an ID
+/// the catalog lacks), and take() orders them by severity (errors first),
+/// rule and core, folding each rule's findings past the first 32 into one
+/// summary finding so reports stay bounded on million-core networks.
+class Recorder {
+ public:
+  explicit Recorder(std::vector<std::string> suppress = {});
+
+  [[nodiscard]] bool suppressed(std::string_view rule) const;
+  void emit(std::string_view rule, core::CoreId core, int neuron, std::string message,
+            std::uint64_t count = 1);
+  /// The suppress list, sorted and deduplicated (LintReport::suppressed).
+  [[nodiscard]] const std::vector<std::string>& suppressed_rules() const noexcept {
+    return suppress_;
+  }
+  /// The ordered, capped findings; the recorder is left empty.
+  [[nodiscard]] std::vector<Finding> take();
+
+ private:
+  std::vector<std::string> suppress_;
+  std::vector<Finding> findings_;
+};
+
 struct DeploymentSpec;  // src/analysis/plan.hpp
 
 struct LintOptions {

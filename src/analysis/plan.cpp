@@ -16,22 +16,6 @@ using core::kCoreSize;
 
 namespace {
 
-Severity catalog_severity(std::string_view id) {
-  for (const RuleInfo& r : rule_catalog()) {
-    if (r.id == id) return r.severity;
-  }
-  return Severity::kInfo;
-}
-
-/// Recorder-order sort (lint.cpp): severity descending, rule, core.
-void sort_findings(std::vector<Finding>& fs) {
-  std::stable_sort(fs.begin(), fs.end(), [](const Finding& a, const Finding& b) {
-    if (a.severity != b.severity) return a.severity > b.severity;
-    if (a.rule != b.rule) return a.rule < b.rule;
-    return a.core < b.core;
-  });
-}
-
 /// One potential partition-cut delivery, at core granularity: an enabled
 /// neuron of live core `src` routes to (dst, delay-slot, word). Deduped —
 /// same-word deliveries coalesce into one WordDelivery OR-mask.
@@ -251,16 +235,8 @@ DeploymentPlan plan_deployment(const core::Network& net, const DeploymentSpec& s
 }
 
 std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPlan& plan) {
-  std::vector<Finding> fs;
+  Recorder rec;
   const DeploymentSpec& spec = plan.spec;
-  auto emit = [&](std::string_view rule, std::string message, std::uint64_t count = 1) {
-    Finding f;
-    f.rule = std::string(rule);
-    f.severity = catalog_severity(rule);
-    f.message = std::move(message);
-    f.count = count;
-    fs.push_back(std::move(f));
-  };
 
   // NSC055: the backends compose replicas XOR ranks; both > 1 cannot run.
   if (spec.replicas > 1 && spec.ranks > 1) {
@@ -268,7 +244,7 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
     os << "deployment requests " << spec.replicas << " replicas across " << spec.ranks
        << " ranks; the replica-batched backend is single-process, so replicas > 1 "
           "cannot combine with ranks > 1 (run replicas on one rank or shard one replica)";
-    emit("NSC055", os.str());
+    rec.emit("NSC055", core::kInvalidCore, -1, os.str());
   }
 
   // NSC041: empty shards burn a process (fork, frames, barrier waits) on
@@ -281,7 +257,7 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
       os << empty << " of " << spec.ranks << " rank shard(s) own no cores at this rank "
          << "count; each still forks, sends per-tick frames, and waits at the tick "
          << "barrier for nothing — reduce --ranks to <= " << (spec.ranks - empty);
-      emit("NSC041", os.str(), static_cast<std::uint64_t>(empty));
+      rec.emit("NSC041", core::kInvalidCore, -1, os.str(), static_cast<std::uint64_t>(empty));
     }
   }
 
@@ -291,7 +267,7 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
     os << "static shard load imbalance " << plan.load_imbalance << " exceeds "
        << kImbalanceWarnRatio << " at " << spec.ranks << " ranks (max/mean estimated "
        << "per-tick work); the slowest shard gates every tick";
-    emit("NSC042", os.str());
+    rec.emit("NSC042", core::kInvalidCore, -1, os.str());
   }
 
   // NSC043: the partition cut itself can dominate the tick.
@@ -301,7 +277,7 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
        << "across " << plan.total_messages_per_tick << " frames exceeds the "
        << kExchangeBytesPerTickCapacity << " bytes/tick exchange capacity; the cut "
        << "crosses too many (core, delay, word) routes — repartition or reduce ranks";
-    emit("NSC043", os.str());
+    rec.emit("NSC043", core::kInvalidCore, -1, os.str());
   }
 
   // NSC044: a rank's per-tick frame is its only liveness signal, so a tick
@@ -316,7 +292,7 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
          << "silent between its per-tick frames long enough to be killed as hung (false "
          << "RankTimeout) — raise --rank-deadline-ms to >= "
          << static_cast<std::uint64_t>(plan.est_tick_ns * 4.0 / 1e6) + 1;
-      emit("NSC044", os.str());
+      rec.emit("NSC044", core::kInvalidCore, -1, os.str());
     }
   }
 
@@ -329,7 +305,7 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
        << spec.recovery_interval << " ticks x " << plan.total_work_per_tick
        << " work/tick) exceeds the " << kRecoveryBudgetNs / 1e9
        << " s budget; lower --recovery-interval";
-    emit("NSC045", os.str());
+    rec.emit("NSC045", core::kInvalidCore, -1, os.str());
   }
 
   // NSC046: the replica-batch SoA footprint must fit the budget.
@@ -340,7 +316,7 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
        << plan.replica.per_replica_bytes << " per replica) exceeds the "
        << spec.replica_memory_budget << "-byte budget; reduce --replicas or raise "
        << "--mem-budget-mb";
-    emit("NSC046", os.str());
+    rec.emit("NSC046", core::kInvalidCore, -1, os.str());
   }
 
   // NSC047: the modeled critical path prefers a different rank count.
@@ -349,12 +325,11 @@ std::vector<Finding> plan_findings(const core::Network& net, const DeploymentPla
     os << "modeled critical-path tick time favors " << plan.recommended_ranks
        << " rank(s) over the requested " << spec.ranks << " (bound "
        << plan.est_tick_ns / 1e3 << " us/tick at " << spec.ranks << ")";
-    emit("NSC047", os.str());
+    rec.emit("NSC047", core::kInvalidCore, -1, os.str());
   }
 
   (void)net;
-  sort_findings(fs);
-  return fs;
+  return rec.take();
 }
 
 obs::JsonValue plan_to_json(const DeploymentPlan& plan, const std::string& net_name,
@@ -479,26 +454,9 @@ DeploymentPlan plan_from_json(const obs::JsonValue& doc) {
 
 LintReport audit_checkpoint(const std::string& path, const core::Network* net,
                             const std::vector<std::string>& suppress) {
+  Recorder rec(suppress);
   LintReport rep;
-  rep.suppressed = suppress;
-  std::sort(rep.suppressed.begin(), rep.suppressed.end());
-  rep.suppressed.erase(std::unique(rep.suppressed.begin(), rep.suppressed.end()),
-                       rep.suppressed.end());
-  auto suppressed = [&](std::string_view rule) {
-    return std::binary_search(rep.suppressed.begin(), rep.suppressed.end(), std::string(rule));
-  };
-  auto emit = [&](std::string_view rule, std::string message, CoreId core = core::kInvalidCore,
-                  int neuron = -1, std::uint64_t count = 1) {
-    if (suppressed(rule)) return;
-    Finding f;
-    f.rule = std::string(rule);
-    f.severity = catalog_severity(rule);
-    f.message = std::move(message);
-    f.core = core;
-    f.neuron = neuron;
-    f.count = count;
-    rep.findings.push_back(std::move(f));
-  };
+  rep.suppressed = rec.suppressed_rules();
 
   core::Snapshot snap;
   try {
@@ -507,8 +465,9 @@ LintReport audit_checkpoint(const std::string& path, const core::Network* net,
     // NSC048: the loader's hostile-file hardening already rejected the file
     // (bad magic/version, implausible geometry, counts exceeding the stream)
     // before allocating for it; surface its verdict as the finding.
-    emit("NSC048", path + ": rejected by the checkpoint loader: " + e.what());
-    sort_findings(rep.findings);
+    rec.emit("NSC048", core::kInvalidCore, -1,
+             path + ": rejected by the checkpoint loader: " + e.what());
+    rep.findings = rec.take();
     return rep;
   }
 
@@ -521,7 +480,7 @@ LintReport audit_checkpoint(const std::string& path, const core::Network* net,
        << net->geom.chips_x << "x" << net->geom.chips_y << " chips of " << net->geom.cores_x
        << "x" << net->geom.cores_y << ", seed " << net->seed
        << " — restoring would be rejected (or silently wrong state)";
-    emit("NSC049", os.str());
+    rec.emit("NSC049", core::kInvalidCore, -1, os.str());
   }
 
   // NSC050: fault bitmaps are strictly boolean; any other byte means the
@@ -541,7 +500,7 @@ LintReport audit_checkpoint(const std::string& path, const core::Network* net,
       os << path << ": " << bad << " fault-bitmap byte(s) are neither 0 nor 1 (first: core "
          << (first == core::kInvalidCore ? 0 : first)
          << "); the liveness state is not interpretable";
-      emit("NSC050", os.str(), first, -1, bad);
+      rec.emit("NSC050", first, -1, os.str(), bad);
     }
   }
 
@@ -566,7 +525,7 @@ LintReport audit_checkpoint(const std::string& path, const core::Network* net,
       os << path << ": " << bad << " membrane potential(s) outside the 20-bit envelope ["
          << core::kPotentialMin << ", " << core::kPotentialMax << "] (first: core "
          << first_core << " neuron " << first_neuron << ")";
-      emit("NSC051", os.str(), first_core, first_neuron, bad);
+      rec.emit("NSC051", first_core, first_neuron, os.str(), bad);
     }
   }
 
@@ -576,7 +535,7 @@ LintReport audit_checkpoint(const std::string& path, const core::Network* net,
     std::ostringstream os;
     os << path << ": header tick " << snap.tick << " is behind stats.ticks "
        << snap.stats.ticks << "; the counters claim more ticks than the clock has seen";
-    emit("NSC052", os.str());
+    rec.emit("NSC052", core::kInvalidCore, -1, os.str());
   }
 
   // NSC053 / NSC054: runtime fault state a deployer should know about, and
@@ -590,7 +549,7 @@ LintReport audit_checkpoint(const std::string& path, const core::Network* net,
       os << path << ": checkpoint carries runtime fault state (" << dead_cores
          << " dead core(s), " << dead_links << " dead link(s)); a restore resumes the "
          << "degraded world, not the pristine network";
-      emit("NSC053", os.str(), core::kInvalidCore, -1, dead_cores + dead_links);
+      rec.emit("NSC053", core::kInvalidCore, -1, os.str(), dead_cores + dead_links);
     }
     constexpr std::size_t kWordsPerCore = 16 * 4;
     std::uint64_t stuck = 0;
@@ -612,11 +571,11 @@ LintReport audit_checkpoint(const std::string& path, const core::Network* net,
       os << path << ": " << stuck << " dead core(s) still hold in-flight deliveries in "
          << "their delay buffers (first: core " << first
          << "); those spikes can never be processed";
-      emit("NSC054", os.str(), first, -1, stuck);
+      rec.emit("NSC054", first, -1, os.str(), stuck);
     }
   }
 
-  sort_findings(rep.findings);
+  rep.findings = rec.take();
   return rep;
 }
 

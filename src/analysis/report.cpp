@@ -99,9 +99,11 @@ obs::JsonValue report_to_json(const LintReport& report, const std::string& net_n
   return doc;
 }
 
-namespace {
-
-bool preflight_report(const LintReport& report, const std::string& net_name) {
+bool lint_preflight(const core::Network& net, const std::string& net_name,
+                    const DeploymentSpec* deploy) {
+  LintOptions options;
+  options.deploy = deploy;
+  const LintReport report = lint(net, options);
   std::size_t shown = 0;
   for (const Finding& f : report.findings) {
     if (f.severity == Severity::kInfo) continue;
@@ -122,19 +124,6 @@ bool preflight_report(const LintReport& report, const std::string& net_name) {
     return false;
   }
   return true;
-}
-
-}  // namespace
-
-bool lint_preflight(const core::Network& net, const std::string& net_name) {
-  return preflight_report(lint(net), net_name);
-}
-
-bool lint_preflight(const core::Network& net, const std::string& net_name,
-                    const DeploymentSpec& deploy) {
-  LintOptions options;
-  options.deploy = &deploy;
-  return preflight_report(lint(net, options), net_name);
 }
 
 void write_lint_report(const std::string& path, const LintReport& report,

@@ -34,14 +34,10 @@ void write_lint_report(const std::string& path, const LintReport& report,
 /// CLI `--lint` preflight (nsc_run, nsc_faultsweep): lints `net`, prints
 /// error- and warn-level findings to stderr, and returns false when
 /// error-level findings make the network undeployable — callers must then
-/// refuse to simulate it. Warnings never block.
-[[nodiscard]] bool lint_preflight(const core::Network& net, const std::string& net_name);
-
-/// Deployment-aware preflight: same contract, but also runs the planner
-/// rules (NSC041–NSC047, NSC055) against `deploy`, so `--ranks`/
-/// `--replicas`/`--supervise` runs are vetted before any process forks.
-/// `deploy` must outlive the call (it is borrowed by LintOptions).
+/// refuse to simulate it. Warnings never block. With `deploy`, the planner
+/// rules (NSC041–NSC047, NSC055) also vet that configuration, so `--ranks`/
+/// `--replicas`/`--supervise` runs are checked before any process forks.
 [[nodiscard]] bool lint_preflight(const core::Network& net, const std::string& net_name,
-                                  const DeploymentSpec& deploy);
+                                  const DeploymentSpec* deploy = nullptr);
 
 }  // namespace nsc::analysis

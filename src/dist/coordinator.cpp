@@ -13,6 +13,7 @@
 #include "src/ipc/byte_stream.hpp"
 #include "src/ipc/endpoint.hpp"
 #include "src/kernels/kernels.hpp"
+#include "src/step/core_state.hpp"
 #include "src/util/bitrow.hpp"
 #include "src/util/process_exit.hpp"
 
@@ -26,7 +27,10 @@ constexpr int kDelaySlots = core::kMaxDelay + 1;
 }
 
 Coordinator::Coordinator(const core::Network& net, Config cfg)
-    : net_(net), cfg_(std::move(cfg)), dead_links_(net.geom.chips()) {
+    : net_(net),
+      cfg_(std::move(cfg)),
+      dead_(step::static_faults(net)),
+      dead_links_(net.geom.chips()) {
   if (cfg_.ranks < 1) throw std::invalid_argument("dist: ranks must be >= 1");
   if (cfg_.threads_per_rank < 1) {
     throw std::invalid_argument("dist: threads_per_rank must be >= 1");
@@ -40,11 +44,6 @@ Coordinator::Coordinator(const core::Network& net, Config cfg)
   ctr_dist_exchange_ns_ = &obs_.counter("dist.exchange_ns");
   ctr_heartbeats_missed_ = &obs_.counter("dist.heartbeats_missed");
 
-  const auto ncores = static_cast<std::size_t>(net.geom.total_cores());
-  dead_.assign(ncores, 0);
-  for (std::size_t c = 0; c < ncores; ++c) {
-    if (net.core(static_cast<CoreId>(c)).disabled != 0) dead_[c] = 1;
-  }
   rank_compute_ns_.assign(static_cast<std::size_t>(cfg_.ranks), 0);
   rank_exchange_ns_.assign(static_cast<std::size_t>(cfg_.ranks), 0);
   rank_work_.assign(static_cast<std::size_t>(cfg_.ranks), 0);
@@ -98,11 +97,15 @@ void Coordinator::on_rank_death(int r) {
   // The lost shard degrades exactly like a fault campaign killing its cores:
   // accounted, never silent (survivor ranks apply the same rule when they
   // observe the death on their own channels).
-  for (CoreId c = shards_[ri].begin; c < shards_[ri].end; ++c) {
-    if (dead_[c] == 0) {
-      dead_[c] = 1;
-      step_metrics_.core_failed(0);
-    }
+  mark_shard_dead(r);
+}
+
+void Coordinator::mark_shard_dead(int r) {
+  const compass::CoreRange range = shards_[static_cast<std::size_t>(r)];
+  for (CoreId c = range.begin; c < range.end; ++c) {
+    if (dead_.is_faulted(c)) continue;
+    dead_.mark(c);
+    step_metrics_.core_failed(0);
   }
 }
 
@@ -214,11 +217,11 @@ void Coordinator::run(Tick nticks, const core::InputSchedule* inputs, core::Spik
 }
 
 bool Coordinator::fail_core(CoreId c) {
-  if (c >= static_cast<CoreId>(net_.geom.total_cores()) || dead_[c] != 0) return false;
+  if (c >= static_cast<CoreId>(net_.geom.total_cores()) || dead_.is_faulted(c)) return false;
   const std::uint32_t payload = c;
   broadcast(MsgKind::kFailCore, &payload, sizeof payload);
   collect_reports();
-  dead_[c] = 1;
+  dead_.mark(c);
   step_metrics_.core_failed(0);
   return true;
 }
@@ -297,15 +300,8 @@ void Coordinator::save_checkpoint(std::ostream& os) const {
   base.backend = core::SnapshotBackend::kCompass;
   base.tick = now_;
   base.stats = stats_;
-  base.dead_cores.assign(dead_.begin(), dead_.end());
-  const int chips = net_.geom.chips();
-  base.dead_links.assign(static_cast<std::size_t>(chips) * 4, 0);
-  for (int ch = 0; ch < chips; ++ch) {
-    for (int d = 0; d < 4; ++d) {
-      base.dead_links[static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d)] =
-          dead_links_.blocked(ch, d) ? 1 : 0;
-    }
-  }
+  base.dead_cores = dead_.bitmap();
+  base.dead_links = dead_links_.bitmap();
   base.extras.clear();
   step_metrics_.save_messages(base);
   step_metrics_.save_faults(base);
@@ -314,12 +310,7 @@ void Coordinator::save_checkpoint(std::ostream& os) const {
 
 void Coordinator::load_checkpoint(std::istream& is) {
   const core::Snapshot snap = core::load_snapshot(is);
-  if (snap.geom != net_.geom) {
-    throw std::runtime_error("checkpoint geometry does not match this simulator's network");
-  }
-  if (snap.net_seed != net_.seed) {
-    throw std::runtime_error("checkpoint was taken against a different network (seed mismatch)");
-  }
+  step::check_snapshot(net_, snap);
   std::ostringstream os(std::ios::binary);
   core::save_snapshot(snap, os);
   const std::string blob = os.str();
@@ -330,30 +321,14 @@ void Coordinator::load_checkpoint(std::istream& is) {
   stats_ = snap.stats;
   step_metrics_.restore(snap);
 
-  const auto ncores = static_cast<std::size_t>(net_.geom.total_cores());
-  dead_.assign(ncores, 0);
-  for (std::size_t c = 0; c < ncores; ++c) {
-    const bool static_dead = net_.core(static_cast<CoreId>(c)).disabled != 0;
-    if (static_dead || (!snap.dead_cores.empty() && snap.dead_cores[c] != 0)) dead_[c] = 1;
-  }
+  dead_ = step::static_faults(net_);
+  dead_.mark_all(snap.dead_cores);
   dead_links_ = noc::LinkFaultSet(net_.geom.chips());
-  for (int ch = 0; ch < net_.geom.chips(); ++ch) {
-    for (int d = 0; d < 4; ++d) {
-      const std::size_t idx = static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d);
-      if (idx < snap.dead_links.size() && snap.dead_links[idx] != 0) dead_links_.mark(ch, d);
-    }
-  }
+  dead_links_.mark_all(snap.dead_links);
   // Ranks that died stay dead across a restore, even one that predates the
   // death: their cores fail again (the ranks re-apply the same rule).
   for (int r = 0; r < cfg_.ranks; ++r) {
-    if (alive_[static_cast<std::size_t>(r)] != 0) continue;
-    for (CoreId c = shards_[static_cast<std::size_t>(r)].begin;
-         c < shards_[static_cast<std::size_t>(r)].end; ++c) {
-      if (dead_[c] == 0) {
-        dead_[c] = 1;
-        step_metrics_.core_failed(0);
-      }
-    }
+    if (alive_[static_cast<std::size_t>(r)] == 0) mark_shard_dead(r);
   }
 }
 

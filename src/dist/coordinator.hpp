@@ -107,6 +107,8 @@ class Coordinator final : public core::Simulator {
   /// via on_rank_death).
   void collect_reports();
   void on_rank_death(int r);
+  /// Marks rank r's shard dead, counting each core not dead already.
+  void mark_shard_dead(int r);
   void broadcast(MsgKind kind, const void* payload, std::size_t size);
   /// Deadline-aware receive from rank r: returns false after absorbing an
   /// EOF death, and on deadline expiry kills the hung rank, absorbs its
@@ -128,7 +130,7 @@ class Coordinator final : public core::Simulator {
   /// Coordinator-side fault mirror: validates fail_* calls (same contract as
   /// the in-process backends) and owns the cores_failed/links_failed counts,
   /// which every rank would otherwise report R times over.
-  std::vector<std::uint8_t> dead_;
+  noc::FaultSet dead_;
   noc::LinkFaultSet dead_links_;
 
   obs::Registry obs_;

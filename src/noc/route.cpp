@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <queue>
 
-#include "src/noc/traffic.hpp"
-
 namespace nsc::noc {
 
 using core::CoreId;
@@ -65,29 +63,9 @@ bool dor_path_blocked(const Geometry& g, const FaultSet& faults, CoreId src, Cor
 
 bool dor_links_blocked(const Geometry& g, const LinkFaultSet& links, CoreId src, CoreId dst) {
   if (links.empty() || src == dst || g.chips() <= 1) return false;
-  const auto cs = g.chip_xy(src);
-  const auto cd = g.chip_xy(dst);
-  // X leg in the source chip row (matches InterChipTraffic::record_route).
-  if (cd.x > cs.x) {
-    for (int cx = cs.x; cx < cd.x; ++cx) {
-      if (links.blocked(cs.y * g.chips_x + cx, static_cast<int>(LinkDir::kEast))) return true;
-    }
-  } else {
-    for (int cx = cs.x; cx > cd.x; --cx) {
-      if (links.blocked(cs.y * g.chips_x + cx, static_cast<int>(LinkDir::kWest))) return true;
-    }
-  }
-  // Y leg at the destination chip column.
-  if (cd.y > cs.y) {
-    for (int cy = cs.y; cy < cd.y; ++cy) {
-      if (links.blocked(cy * g.chips_x + cd.x, static_cast<int>(LinkDir::kSouth))) return true;
-    }
-  } else {
-    for (int cy = cs.y; cy > cd.y; --cy) {
-      if (links.blocked(cy * g.chips_x + cd.x, static_cast<int>(LinkDir::kNorth))) return true;
-    }
-  }
-  return false;
+  return for_each_dor_link(g, src, dst, [&](int chip, LinkDir dir) {
+    return links.blocked(chip, static_cast<int>(dir));
+  });
 }
 
 RouteInfo route_with_faults(const Geometry& g, const FaultSet& faults, const LinkFaultSet& links,
@@ -144,57 +122,6 @@ RouteInfo route_with_faults(const Geometry& g, const FaultSet& faults, const Lin
   }
   r.hops = d;
   r.chip_crossings = cross[idx(pd.x, pd.y)];
-  return r;
-}
-
-RouteInfo route_with_faults(const Geometry& g, const FaultSet& faults, CoreId src, CoreId dst) {
-  if (faults.empty() || !dor_path_blocked(g, faults, src, dst)) return route_dor(g, src, dst);
-
-  // BFS shortest detour over non-faulted cores in the global mesh. The mesh
-  // is small (≤ a few thousand cores per system in our runs) and blocked
-  // routes are rare, so an exact search is cheaper than a heuristic that
-  // would need livelock proofs.
-  const int w = g.chips_x * g.cores_x;
-  const int h = g.chips_y * g.cores_y;
-  const auto pd = g.global_xy(dst);
-  std::vector<std::int32_t> dist(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), -1);
-  auto idx = [w](int x, int y) {
-    return static_cast<std::size_t>(y) * static_cast<std::size_t>(w) + static_cast<std::size_t>(x);
-  };
-  std::queue<std::pair<int, int>> q;
-  const auto ps = g.global_xy(src);
-  dist[idx(ps.x, ps.y)] = 0;
-  q.push({ps.x, ps.y});
-  while (!q.empty()) {
-    const auto [x, y] = q.front();
-    q.pop();
-    if (x == pd.x && y == pd.y) break;
-    const int d = dist[idx(x, y)];
-    constexpr int dx[4] = {1, -1, 0, 0};
-    constexpr int dy[4] = {0, 0, 1, -1};
-    for (int k = 0; k < 4; ++k) {
-      const int nx = x + dx[k], ny = y + dy[k];
-      if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
-      if (dist[idx(nx, ny)] != -1) continue;
-      const CoreId cid = g.core_at_global(nx, ny);
-      // Intermediate cores must be healthy; the destination is allowed even
-      // if marked (callers guarantee endpoints are healthy anyway).
-      if (faults.is_faulted(cid) && !(nx == pd.x && ny == pd.y)) continue;
-      dist[idx(nx, ny)] = d + 1;
-      q.push({nx, ny});
-    }
-  }
-  RouteInfo r;
-  const std::int32_t d = dist[idx(pd.x, pd.y)];
-  if (d < 0) {
-    r.reachable = false;
-    return r;
-  }
-  r.hops = d;
-  // Detours can wander across chip boundaries; approximate crossings by the
-  // straight-line count (lower bound) — the merge–split traffic model only
-  // needs crossing counts on healthy meshes, where DOR is exact.
-  r.chip_crossings = route_dor(g, src, dst).chip_crossings;
   return r;
 }
 

@@ -10,6 +10,7 @@
 // and a split (fan back out to the tagged row/column).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -33,35 +34,54 @@ class FaultSet {
   explicit FaultSet(int total_cores) : faulted_(static_cast<std::size_t>(total_cores), 0) {}
 
   void mark(core::CoreId c) {
-    if (faulted_.empty()) return;
+    if (faulted_.empty() || is_faulted(c)) return;
     faulted_[static_cast<std::size_t>(c)] = 1;
     ++count_;
+  }
+  /// Marks every core whose byte in `bitmap` is nonzero (one byte per core,
+  /// the NSCK dead_cores layout); an empty bitmap marks nothing.
+  void mark_all(const std::vector<std::uint8_t>& bitmap) {
+    for (std::size_t c = 0; c < std::min(bitmap.size(), faulted_.size()); ++c) {
+      if (bitmap[c] != 0) mark(static_cast<core::CoreId>(c));
+    }
   }
   [[nodiscard]] bool is_faulted(core::CoreId c) const {
     return !faulted_.empty() && faulted_[static_cast<std::size_t>(c)] != 0;
   }
   [[nodiscard]] int count() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  /// One 0/1 byte per core: the checkpoint's dead_cores section.
+  [[nodiscard]] const std::vector<std::uint8_t>& bitmap() const noexcept { return faulted_; }
 
  private:
   std::vector<std::uint8_t> faulted_;
   int count_ = 0;
 };
 
+/// Direction of a directed inter-chip link.
+enum class LinkDir : std::uint8_t { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3 };
+
 /// Set of failed directed inter-chip merge–split links. A link is identified
-/// by (chip, dir) with dir 0=E (toward +x neighbor), 1=W, 2=N (toward -y),
-/// 3=S — the same indexing as noc::InterChipTraffic. Routing treats a failed
-/// link as an impassable chip-boundary segment: packets must detour through
-/// another chip row/column, or the destination becomes unreachable.
+/// by (chip, dir) with dir a LinkDir: 0=E (toward +x neighbor), 1=W, 2=N
+/// (toward -y), 3=S — the same indexing as noc::InterChipTraffic. Routing
+/// treats a failed link as an impassable chip-boundary segment: packets must
+/// detour through another chip row/column, or the destination becomes
+/// unreachable.
 class LinkFaultSet {
  public:
   LinkFaultSet() = default;
   explicit LinkFaultSet(int chips) : dead_(static_cast<std::size_t>(chips) * 4, 0) {}
 
   void mark(int chip, int dir) {
-    if (dead_.empty() || blocked(chip, dir)) return;
-    dead_[static_cast<std::size_t>(chip) * 4 + static_cast<std::size_t>(dir)] = 1;
-    ++count_;
+    mark_index(static_cast<std::size_t>(chip) * 4 + static_cast<std::size_t>(dir));
+  }
+  /// Marks every link whose byte in `bitmap` is nonzero (one byte per
+  /// chip * 4 + dir, the NSCK dead_links layout); an empty bitmap marks
+  /// nothing.
+  void mark_all(const std::vector<std::uint8_t>& bitmap) {
+    for (std::size_t i = 0; i < std::min(bitmap.size(), dead_.size()); ++i) {
+      if (bitmap[i] != 0) mark_index(i);
+    }
   }
   [[nodiscard]] bool blocked(int chip, int dir) const {
     return !dead_.empty() &&
@@ -69,8 +89,16 @@ class LinkFaultSet {
   }
   [[nodiscard]] int count() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  /// One 0/1 byte per chip * 4 + dir: the checkpoint's dead_links section.
+  [[nodiscard]] const std::vector<std::uint8_t>& bitmap() const noexcept { return dead_; }
 
  private:
+  void mark_index(std::size_t i) {
+    if (dead_.empty() || dead_[i] != 0) return;
+    dead_[i] = 1;
+    ++count_;
+  }
+
   std::vector<std::uint8_t> dead_;
   int count_ = 0;
 };
@@ -82,16 +110,36 @@ class LinkFaultSet {
 /// counted along the X leg then the Y leg.
 [[nodiscard]] RouteInfo route_dor(const core::Geometry& g, core::CoreId src, core::CoreId dst);
 
-/// Route avoiding faulted cores. Falls back to route_dor when the DOR path is
-/// clean; otherwise finds a shortest detour (BFS over non-faulted cores).
-/// Endpoint cores themselves must not be faulted (callers disable neurons on
-/// faulted cores, so no traffic originates or terminates there).
-[[nodiscard]] RouteInfo route_with_faults(const core::Geometry& g, const FaultSet& faults,
-                                          core::CoreId src, core::CoreId dst);
+/// Walks the merge–split links the DOR route from src to dst crosses:
+/// `visit(chip, dir)` for each link of the X leg, in the source chip row,
+/// then of the Y leg, in the destination chip column, where `chip` is the
+/// chip the packet leaves. Stops and returns true as soon as `visit` does;
+/// false when the walk completes. The one statement of which links a packet
+/// crosses: traffic accounting, link-fault blocking and the lint link bound
+/// all walk it.
+template <typename Visit>
+bool for_each_dor_link(const core::Geometry& g, core::CoreId src, core::CoreId dst,
+                       Visit&& visit) {
+  const auto cs = g.chip_xy(src);
+  const auto cd = g.chip_xy(dst);
+  const int sx = cd.x > cs.x ? 1 : -1;
+  const LinkDir dx = cd.x > cs.x ? LinkDir::kEast : LinkDir::kWest;
+  for (int cx = cs.x; cx != cd.x; cx += sx) {
+    if (visit(cs.y * g.chips_x + cx, dx)) return true;
+  }
+  const int sy = cd.y > cs.y ? 1 : -1;
+  const LinkDir dy = cd.y > cs.y ? LinkDir::kSouth : LinkDir::kNorth;
+  for (int cy = cs.y; cy != cd.y; cy += sy) {
+    if (visit(cy * g.chips_x + cd.x, dy)) return true;
+  }
+  return false;
+}
 
 /// Route avoiding both faulted cores and failed inter-chip links. Falls back
 /// to route_dor when the DOR path is clean; otherwise BFS over healthy cores
 /// and live links. Exact chip crossings are counted along the detour.
+/// Endpoint cores themselves must not be faulted (callers disable neurons on
+/// faulted cores, so no traffic originates or terminates there).
 [[nodiscard]] RouteInfo route_with_faults(const core::Geometry& g, const FaultSet& faults,
                                           const LinkFaultSet& links, core::CoreId src,
                                           core::CoreId dst);

@@ -23,21 +23,10 @@ void InterChipTraffic::bump(int chip, LinkDir dir) {
 
 void InterChipTraffic::record_route(CoreId src, CoreId dst) {
   if (chips_ <= 1 || src == dst) return;
-  const auto cs = geom_.chip_xy(src);
-  const auto cd = geom_.chip_xy(dst);
-  // X leg: the packet stays in the source chip row; it exits east/west once
-  // per chip-column boundary between cs.x and cd.x.
-  if (cd.x > cs.x) {
-    for (int cx = cs.x; cx < cd.x; ++cx) bump(cs.y * geom_.chips_x + cx, LinkDir::kEast);
-  } else {
-    for (int cx = cs.x; cx > cd.x; --cx) bump(cs.y * geom_.chips_x + cx, LinkDir::kWest);
-  }
-  // Y leg: at the destination chip column.
-  if (cd.y > cs.y) {
-    for (int cy = cs.y; cy < cd.y; ++cy) bump(cy * geom_.chips_x + cd.x, LinkDir::kSouth);
-  } else {
-    for (int cy = cs.y; cy > cd.y; --cy) bump(cy * geom_.chips_x + cd.x, LinkDir::kNorth);
-  }
+  for_each_dor_link(geom_, src, dst, [this](int chip, LinkDir dir) {
+    bump(chip, dir);
+    return false;
+  });
 }
 
 void InterChipTraffic::end_tick() {

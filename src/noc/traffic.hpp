@@ -12,18 +12,16 @@
 #include <vector>
 
 #include "src/core/types.hpp"
+#include "src/noc/route.hpp"
 
 namespace nsc::noc {
-
-/// Direction of a directed inter-chip link.
-enum class LinkDir : std::uint8_t { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3 };
 
 class InterChipTraffic {
  public:
   explicit InterChipTraffic(const core::Geometry& g);
 
   /// Records the boundary crossings of a DOR route from src to dst for the
-  /// current tick (X leg at the source row, then Y leg at the target column).
+  /// current tick: one packet on each link for_each_dor_link visits.
   void record_route(core::CoreId src, core::CoreId dst);
 
   /// Closes the current tick: folds per-link counts into maxima/totals.
@@ -39,6 +37,11 @@ class InterChipTraffic {
   /// Link index: (chip * 4 + dir); East = toward +x neighbor, etc.
   [[nodiscard]] std::uint64_t link_total(int chip, LinkDir dir) const {
     return link_totals_[static_cast<std::size_t>(chip) * 4 + static_cast<std::size_t>(dir)];
+  }
+  /// Every link's total, indexed chip * 4 + dir: the checkpoint's
+  /// traffic_link_totals section.
+  [[nodiscard]] const std::vector<std::uint64_t>& link_totals() const noexcept {
+    return link_totals_;
   }
 
   [[nodiscard]] int chips() const noexcept { return chips_; }

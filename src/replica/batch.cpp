@@ -194,7 +194,7 @@ void BatchSimulator::save_checkpoint(int r, std::ostream& os) const {
 void BatchSimulator::load_checkpoint(int r, std::istream& is) {
   if (r < 0 || r >= cfg_.replicas) throw std::out_of_range("replica: bad replica index");
   const core::Snapshot snap = core::load_snapshot(is);
-  state_.check(snap);
+  step::check_snapshot(net_, snap);
   // The batch backend models no runtime faults: a snapshot whose fault state
   // goes beyond the network's static disabled set cannot be represented.
   for (CoreId c = 0; c < state_.ncores; ++c) {

@@ -1,5 +1,6 @@
 #include "src/serve/server.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,17 +10,6 @@
 #include "src/obs/json_report.hpp"
 
 namespace nsc::serve {
-
-namespace {
-
-bool owns(const std::vector<std::uint64_t>& owned, std::uint64_t id) {
-  for (const std::uint64_t s : owned) {
-    if (s == id) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 Server::Server(Config cfg) : cfg_(std::move(cfg)) {
   // Every stats document carries these totals, zero until the first kTick.
@@ -172,11 +162,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       return;
     }
     conn.helloed = true;
-    HelloOk hello;
-    hello.max_sessions = static_cast<std::uint32_t>(cfg_.max_sessions);
-    hello.active_sessions = static_cast<std::uint32_t>(sessions_.size());
-    hello.networks = static_cast<std::uint32_t>(nets_.size());
-    reply(conn, Cmd::kHelloOk, &hello, sizeof hello);
+    reply_hello(conn);
     return;
   }
 
@@ -185,11 +171,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
     switch (kind) {
       case Cmd::kHello: {
         // Re-hello after the handshake is harmless; acknowledge idempotently.
-        HelloOk hello;
-        hello.max_sessions = static_cast<std::uint32_t>(cfg_.max_sessions);
-        hello.active_sessions = static_cast<std::uint32_t>(sessions_.size());
-        hello.networks = static_cast<std::uint32_t>(nets_.size());
-        reply(conn, Cmd::kHelloOk, &hello, sizeof hello);
+        reply_hello(conn);
         return;
       }
       case Cmd::kCreate: {
@@ -231,10 +213,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kTick: {
         const auto req = ipc::get_pod<TickReq>(frame.payload, off);
-        if (!owns(conn.sessions, req.session)) {
-          throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
-        }
-        Session& s = session_of(req.session);
+        Session& s = owned_session(conn, req.session);
         const SessionCounters before = s.counters();
         s.tick(req.nticks, req.record != 0);
         metrics_.counter("serve.ticks_served") += static_cast<std::uint64_t>(req.nticks);
@@ -251,12 +230,9 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kInject: {
         const auto req = ipc::get_pod<InjectReq>(frame.payload, off);
-        if (!owns(conn.sessions, req.session)) {
-          throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
-        }
+        Session& s = owned_session(conn, req.session);
         std::vector<core::InputSpike> events;
         ipc::get_pod_array(frame.payload, off, static_cast<std::size_t>(req.count), events);
-        Session& s = session_of(req.session);
         s.inject(events);
         metrics_.counter("serve.inputs_injected") += req.count;
         reply(conn, Cmd::kAck, nullptr, 0);
@@ -264,10 +240,7 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kReadSpikes: {
         const auto req = ipc::get_pod<ReadReq>(frame.payload, off);
-        if (!owns(conn.sessions, req.session)) {
-          throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
-        }
-        Session& s = session_of(req.session);
+        Session& s = owned_session(conn, req.session);
         // Cap one reply so a huge read request cannot build an unbounded
         // reply buffer in one shot; `remaining` tells the client to loop.
         const std::uint64_t cap = cfg_.max_conn_out_bytes / (2 * sizeof(core::Spike));
@@ -287,11 +260,8 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kCheckpoint: {
         const auto req = ipc::get_pod<SessionReq>(frame.payload, off);
-        if (!owns(conn.sessions, req.session)) {
-          throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
-        }
         std::ostringstream os;
-        session_of(req.session).save_checkpoint(os);
+        owned_session(conn, req.session).save_checkpoint(os);
         const std::string blob = os.str();
         ++metrics_.counter("serve.checkpoints");
         reply(conn, Cmd::kBlob, blob.data(), blob.size());
@@ -299,27 +269,18 @@ void Server::dispatch(Conn& conn, const ipc::Frame& frame) {
       }
       case Cmd::kRestore: {
         const auto req = ipc::get_pod<SessionReq>(frame.payload, off);
-        if (!owns(conn.sessions, req.session)) {
-          throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
-        }
+        Session& s = owned_session(conn, req.session);
         ipc::ByteIStream is(frame.payload.data() + off, frame.payload.size() - off);
-        session_of(req.session).restore_checkpoint(is);
+        s.restore_checkpoint(is);
         ++metrics_.counter("serve.restores");
         reply(conn, Cmd::kAck, nullptr, 0);
         return;
       }
       case Cmd::kDestroy: {
         const auto req = ipc::get_pod<SessionReq>(frame.payload, off);
-        if (!owns(conn.sessions, req.session)) {
-          throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
-        }
+        owned_session(conn, req.session);
         destroy_session(req.session);
-        for (std::size_t i = 0; i < conn.sessions.size(); ++i) {
-          if (conn.sessions[i] == req.session) {
-            conn.sessions.erase(conn.sessions.begin() + static_cast<std::ptrdiff_t>(i));
-            break;
-          }
-        }
+        conn.sessions.erase(std::find(conn.sessions.begin(), conn.sessions.end(), req.session));
         reply(conn, Cmd::kAck, nullptr, 0);
         return;
       }
@@ -430,9 +391,18 @@ void Server::drain_and_close() {
   listener_.close();
 }
 
-Session& Server::session_of(std::uint64_t id) {
+void Server::reply_hello(Conn& conn) {
+  HelloOk hello;
+  hello.max_sessions = static_cast<std::uint32_t>(cfg_.max_sessions);
+  hello.active_sessions = static_cast<std::uint32_t>(sessions_.size());
+  hello.networks = static_cast<std::uint32_t>(nets_.size());
+  reply(conn, Cmd::kHelloOk, &hello, sizeof hello);
+}
+
+Session& Server::owned_session(const Conn& conn, std::uint64_t id) {
   const auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
+  if (it == sessions_.end() ||
+      std::find(conn.sessions.begin(), conn.sessions.end(), id) == conn.sessions.end()) {
     throw ServeError(ErrorCode::kNoSuchSession, "serve: unknown session id");
   }
   return *it->second;

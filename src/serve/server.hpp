@@ -114,7 +114,11 @@ class Server {
   void reply(Conn& conn, Cmd kind, const void* payload, std::size_t size);
   void reply_error(Conn& conn, ErrorCode code, const std::string& msg);
 
-  Session& session_of(std::uint64_t id);
+  void reply_hello(Conn& conn);
+  /// The session `id` when `conn` owns it. Otherwise throws kNoSuchSession,
+  /// the reply a nonexistent id gets: another tenant's session is not even
+  /// acknowledged to exist.
+  Session& owned_session(const Conn& conn, std::uint64_t id);
   void destroy_session(std::uint64_t id);
 
   Config cfg_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace nsc::step {
 
@@ -22,12 +23,34 @@ Instance::Instance(const CoreState& st)
   }
 }
 
+noc::FaultSet static_faults(const core::Network& net) {
+  noc::FaultSet faults(net.geom.total_cores());
+  for (CoreId c = 0; c < static_cast<CoreId>(net.geom.total_cores()); ++c) {
+    if (net.core(c).disabled) faults.mark(c);
+  }
+  return faults;
+}
+
+void check_snapshot(const core::Network& net, const core::Snapshot& snap) {
+  if (snap.geom != net.geom) {
+    throw std::runtime_error("checkpoint geometry does not match this simulator's network");
+  }
+  if (snap.net_seed != net.seed) {
+    throw std::runtime_error("checkpoint was taken against a different network (seed mismatch)");
+  }
+  const auto n = static_cast<std::size_t>(net.geom.total_cores());
+  if (snap.v.size() != n * kCoreSize ||
+      snap.delay_words.size() != n * kDelaySlots * util::BitRow256::kWords) {
+    throw std::runtime_error("checkpoint state size does not match the network");
+  }
+}
+
 CoreState::CoreState(const core::Network& net)
     : net(net),
       ncores(static_cast<CoreId>(net.geom.total_cores())),
       kern(&kernels::select_kernels()),
       prng(net.seed),
-      faults(net.geom.total_cores()),
+      faults(static_faults(net)),
       link_faults(net.geom.chips()),
       enabled(static_cast<std::size_t>(ncores)),
       enabled_count(static_cast<std::size_t>(ncores), 0),
@@ -39,9 +62,6 @@ CoreState::CoreState(const core::Network& net)
       wtab(static_cast<std::size_t>(ncores) * core::kWeightTabPerCore, 0),
       fire(static_cast<std::size_t>(ncores) * kCoreSize, core::HotFire{}),
       rowpop(static_cast<std::size_t>(ncores) * kCoreSize, 0) {
-  for (CoreId c = 0; c < ncores; ++c) {
-    if (net.core(c).disabled) faults.mark(c);
-  }
   derive_enabled();
   derive_targets();
   for (CoreId c = 0; c < ncores; ++c) {
@@ -135,33 +155,11 @@ void CoreState::seed(Instance& inst, core::ActiveSet& active, CoreId begin, Core
   }
 }
 
-void CoreState::check(const core::Snapshot& snap) const {
-  if (snap.geom != net.geom) {
-    throw std::runtime_error("checkpoint geometry does not match this simulator's network");
-  }
-  if (snap.net_seed != net.seed) {
-    throw std::runtime_error("checkpoint was taken against a different network (seed mismatch)");
-  }
-  const auto n = static_cast<std::size_t>(ncores);
-  if (snap.v.size() != n * kCoreSize ||
-      snap.delay_words.size() != n * kDelaySlots * util::BitRow256::kWords) {
-    throw std::runtime_error("checkpoint state size does not match the network");
-  }
-}
-
 void CoreState::save(const Instance& inst, core::Snapshot& snap) const {
   snap.geom = net.geom;
   snap.net_seed = net.seed;
-  snap.dead_cores.resize(static_cast<std::size_t>(ncores), 0);
-  for (CoreId c = 0; c < ncores; ++c) snap.dead_cores[c] = faults.is_faulted(c) ? 1 : 0;
-  const int chips = net.geom.chips();
-  snap.dead_links.resize(static_cast<std::size_t>(chips) * 4, 0);
-  for (int ch = 0; ch < chips; ++ch) {
-    for (int d = 0; d < 4; ++d) {
-      snap.dead_links[static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d)] =
-          link_faults.blocked(ch, d) ? 1 : 0;
-    }
-  }
+  snap.dead_cores = faults.bitmap();
+  snap.dead_links = link_faults.bitmap();
   snap.v = inst.v;
   snap.delay_words.reserve(inst.delay.size() * util::BitRow256::kWords);
   for (const util::BitRow256& row : inst.delay) {
@@ -170,7 +168,7 @@ void CoreState::save(const Instance& inst, core::Snapshot& snap) const {
 }
 
 void CoreState::restore(const core::Snapshot& snap, Instance& inst) {
-  check(snap);
+  check_snapshot(net, snap);
   inst.v = snap.v;
   for (std::size_t i = 0; i < inst.delay.size(); ++i) {
     for (int w = 0; w < util::BitRow256::kWords; ++w) {
@@ -178,40 +176,20 @@ void CoreState::restore(const core::Snapshot& snap, Instance& inst) {
           w, snap.delay_words[i * util::BitRow256::kWords + static_cast<std::size_t>(w)]);
     }
   }
+  noc::FaultSet dead = static_faults(net);
+  const int static_dead = dead.count();
+  dead.mark_all(snap.dead_cores);
+  noc::LinkFaultSet dead_links(net.geom.chips());
+  dead_links.mark_all(snap.dead_links);
   // The derived tables are a function of the network and the fault sets on
   // every entry the step reads, so a snapshot with the current fault sets
   // needs nothing re-derived. One set of entries differs: a core failed
   // mid-run keeps its own target_ok rows, which a rebuild zeroes; no dead
   // core is ever visited, so the step never reads them.
-  bool same_faults = true;
-  for (CoreId c = 0; c < ncores && same_faults; ++c) {
-    const bool dead = snap.dead_cores[c] != 0 || net.core(c).disabled != 0;
-    same_faults = dead == faults.is_faulted(c);
-  }
-  for (int ch = 0; ch < net.geom.chips() && same_faults; ++ch) {
-    for (int d = 0; d < 4 && same_faults; ++d) {
-      const std::size_t i = static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d);
-      same_faults = (snap.dead_links[i] != 0) == link_faults.blocked(ch, d);
-    }
-  }
-  if (same_faults) return;
-  faults = noc::FaultSet(static_cast<int>(ncores));
-  link_faults = noc::LinkFaultSet(net.geom.chips());
-  runtime_faults = false;
-  for (CoreId c = 0; c < ncores; ++c) {
-    const bool static_dead = net.core(c).disabled != 0;
-    const bool dead = snap.dead_cores[c] != 0 || static_dead;
-    if (dead) faults.mark(c);
-    if (dead && !static_dead) runtime_faults = true;
-  }
-  for (int ch = 0; ch < net.geom.chips(); ++ch) {
-    for (int d = 0; d < 4; ++d) {
-      if (snap.dead_links[static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d)] != 0) {
-        link_faults.mark(ch, d);
-        runtime_faults = true;
-      }
-    }
-  }
+  if (dead.bitmap() == faults.bitmap() && dead_links.bitmap() == link_faults.bitmap()) return;
+  faults = std::move(dead);
+  link_faults = std::move(dead_links);
+  runtime_faults = faults.count() > static_dead || !link_faults.empty();
   derive_enabled();
   derive_targets();
 }

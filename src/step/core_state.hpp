@@ -65,6 +65,15 @@ struct Live {
   std::uint64_t enabled = 0;
 };
 
+/// The network's statically disabled cores, as a fault set over all of its
+/// cores: where every simulator's fault set starts, and what a restore adds
+/// a checkpoint's dead cores to.
+[[nodiscard]] noc::FaultSet static_faults(const core::Network& net);
+
+/// Throws std::runtime_error unless `snap` belongs to `net` (geometry, seed
+/// and state sizes).
+void check_snapshot(const core::Network& net, const core::Snapshot& snap);
+
 /// Everything derived from the network and its fault sets, plus the
 /// operations on them every backend needs: worklist seeding,
 /// fail_core/fail_link with the target refresh, and the NSCK fault and
@@ -121,15 +130,11 @@ class CoreState {
   template <typename OnRoute>
   bool fail_link(int chip, int dir, OnRoute&& on_route);
 
-  /// Throws std::runtime_error unless `snap` belongs to this network
-  /// (geometry, seed and state sizes).
-  void check(const core::Snapshot& snap) const;
-
   /// Writes the network identity, the fault sets and `inst`'s potentials and
   /// delay ring into `snap`.
   void save(const Instance& inst, core::Snapshot& snap) const;
 
-  /// check(), then copies `snap`'s potentials and delay ring into `inst`.
+  /// check_snapshot(), then copies `snap`'s potentials and delay ring into `inst`.
   /// When its dead cores and links differ from the current fault sets, also
   /// rebuilds the fault sets from them and re-derives everything that depends
   /// on them. Cores dead beyond the network's static set, or any dead link,

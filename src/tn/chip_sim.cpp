@@ -113,14 +113,7 @@ void TrueNorthSimulator::save_checkpoint(std::ostream& os) const {
   state_.save(inst_, snap);
   step_metrics_.save_faults(snap);
   snap.set_extra("fault.rerouted_hops", *ctr_rerouted_hops_);
-  const int chips = net_.geom.chips();
-  snap.traffic_link_totals.resize(static_cast<std::size_t>(chips) * 4, 0);
-  for (int ch = 0; ch < chips; ++ch) {
-    for (int d = 0; d < 4; ++d) {
-      snap.traffic_link_totals[static_cast<std::size_t>(ch) * 4 + static_cast<std::size_t>(d)] =
-          traffic_.link_total(ch, static_cast<noc::LinkDir>(d));
-    }
-  }
+  snap.traffic_link_totals = traffic_.link_totals();
   snap.traffic_total = traffic_.total_crossings();
   snap.traffic_max_per_tick = traffic_.max_link_packets_per_tick();
   core::save_snapshot(snap, os);

@@ -73,7 +73,7 @@ TEST(FaultRouting, DetoursNeverTraverseFaults) {
       const auto a = static_cast<core::CoreId>(rng.next_below(36));
       const auto b = static_cast<core::CoreId>(rng.next_below(36));
       if (faults.is_faulted(a) || faults.is_faulted(b)) continue;
-      const auto r = noc::route_with_faults(g, faults, a, b);
+      const auto r = noc::route_with_faults(g, faults, noc::LinkFaultSet{}, a, b);
       if (!r.reachable) continue;
       EXPECT_GE(r.hops, noc::manhattan(g, a, b));
       if (!noc::dor_path_blocked(g, faults, a, b)) {
@@ -90,7 +90,8 @@ TEST(FaultRouting, FullyFencedDestinationUnreachable) {
   for (const auto& [dx, dy] : {std::pair{1, 0}, {-1, 0}, {0, 1}, {0, -1}}) {
     faults.mark(g.core_at(0, 2 + dx, 2 + dy));
   }
-  const auto r = noc::route_with_faults(g, faults, g.core_at(0, 0, 0), g.core_at(0, 2, 2));
+  const auto r = noc::route_with_faults(g, faults, noc::LinkFaultSet{}, g.core_at(0, 0, 0),
+                                        g.core_at(0, 2, 2));
   EXPECT_FALSE(r.reachable);
 }
 

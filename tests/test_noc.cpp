@@ -2,6 +2,9 @@
 // fault-detour routing, and inter-chip traffic accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/core/types.hpp"
 #include "src/noc/route.hpp"
 #include "src/noc/traffic.hpp"
@@ -90,7 +93,7 @@ TEST(RouteWithFaults, CleanPathMatchesDor) {
   FaultSet f(g.total_cores());
   f.mark(g.core_at(0, 7, 7));  // not on the path
   const CoreId a = g.core_at(0, 0, 0), b = g.core_at(0, 4, 4);
-  const RouteInfo r = route_with_faults(g, f, a, b);
+  const RouteInfo r = route_with_faults(g, f, LinkFaultSet{}, a, b);
   EXPECT_EQ(r.hops, route_dor(g, a, b).hops);
 }
 
@@ -99,7 +102,7 @@ TEST(RouteWithFaults, DetourAddsHopsButStaysShortest) {
   FaultSet f(g.total_cores());
   f.mark(g.core_at(0, 2, 0));  // force a sidestep on the x leg
   const CoreId a = g.core_at(0, 0, 0), b = g.core_at(0, 4, 0);
-  const RouteInfo r = route_with_faults(g, f, a, b);
+  const RouteInfo r = route_with_faults(g, f, LinkFaultSet{}, a, b);
   EXPECT_TRUE(r.reachable);
   EXPECT_EQ(r.hops, 4 + 2);  // one step aside, one step back
 }
@@ -109,7 +112,8 @@ TEST(RouteWithFaults, WallForcesLongWayOrUnreachable) {
   FaultSet f(g.total_cores());
   // Wall across x=1 (all rows): src column 0 fully cut off.
   for (int y = 0; y < 4; ++y) f.mark(g.core_at(0, 1, y));
-  const RouteInfo r = route_with_faults(g, f, g.core_at(0, 0, 0), g.core_at(0, 3, 0));
+  const RouteInfo r =
+      route_with_faults(g, f, LinkFaultSet{}, g.core_at(0, 0, 0), g.core_at(0, 3, 0));
   EXPECT_FALSE(r.reachable);
 }
 
@@ -117,7 +121,8 @@ TEST(RouteWithFaults, DetourAroundPartialWall) {
   const Geometry g{1, 1, 5, 5};
   FaultSet f(g.total_cores());
   for (int y = 0; y < 4; ++y) f.mark(g.core_at(0, 2, y));  // gap at y = 4
-  const RouteInfo r = route_with_faults(g, f, g.core_at(0, 0, 0), g.core_at(0, 4, 0));
+  const RouteInfo r =
+      route_with_faults(g, f, LinkFaultSet{}, g.core_at(0, 0, 0), g.core_at(0, 4, 0));
   EXPECT_TRUE(r.reachable);
   EXPECT_EQ(r.hops, 4 + 8);  // down to row 4 and back up
 }
@@ -164,6 +169,44 @@ TEST(InterChipTrafficTest, ResetClearsEverything) {
   traffic.reset();
   EXPECT_EQ(traffic.total_crossings(), 0u);
   EXPECT_EQ(traffic.max_link_packets_per_tick(), 0u);
+}
+
+TEST(DorLinkWalk, AgreesWithTrafficBlockingAndCrossings) {
+  // 3×3 chips of 2×2 cores: pairs run X legs, Y legs or both, in all four
+  // directions, over 9 chips × 4 = 36 directed links (edge links included,
+  // which no route crosses).
+  const Geometry g{3, 3, 2, 2};
+  const int nlinks = g.chips() * 4;
+  std::vector<LinkFaultSet> only(static_cast<std::size_t>(nlinks));
+  for (int l = 0; l < nlinks; ++l) {
+    only[static_cast<std::size_t>(l)] = LinkFaultSet(g.chips());
+    only[static_cast<std::size_t>(l)].mark(l / 4, l % 4);
+  }
+  const auto ncores = static_cast<CoreId>(g.total_cores());
+  for (CoreId a = 0; a < ncores; ++a) {
+    for (CoreId b = 0; b < ncores; ++b) {
+      std::vector<std::uint64_t> visited(static_cast<std::size_t>(nlinks), 0);
+      std::uint64_t walked = 0;
+      EXPECT_FALSE(for_each_dor_link(g, a, b, [&](int chip, LinkDir dir) {
+        ++visited[static_cast<std::size_t>(chip) * 4 + static_cast<std::size_t>(dir)];
+        ++walked;
+        return false;
+      }));
+      ASSERT_EQ(walked, static_cast<std::uint64_t>(route_dor(g, a, b).chip_crossings))
+          << a << " -> " << b;
+      InterChipTraffic traffic(g);
+      traffic.record_route(a, b);
+      ASSERT_EQ(traffic.total_crossings(), walked) << a << " -> " << b;
+      for (int l = 0; l < nlinks; ++l) {
+        const std::uint64_t n = visited[static_cast<std::size_t>(l)];
+        ASSERT_LE(n, 1u) << a << " -> " << b << " link " << l;
+        ASSERT_EQ(traffic.link_total(l / 4, static_cast<LinkDir>(l % 4)), n)
+            << a << " -> " << b << " link " << l;
+        ASSERT_EQ(dor_links_blocked(g, only[static_cast<std::size_t>(l)], a, b), n != 0)
+            << a << " -> " << b << " link " << l;
+      }
+    }
+  }
 }
 
 TEST(UniformTargets, MeanHopDistanceMatchesPaper) {

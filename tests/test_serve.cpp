@@ -845,18 +845,24 @@ TEST(ServeTenancy, SessionsAreOwnedByTheirConnection) {
   Client a = h.client();
   a.hello();
   const std::uint64_t s = a.create("net");
+  const std::vector<std::uint8_t> blob = a.checkpoint(s);  // Taken at t = 0.
 
   Client b = h.client();
   b.hello();
-  // Another tenant cannot tick, read, checkpoint, restore or destroy it —
-  // the id is not even acknowledged to exist.
+  // Another tenant cannot tick, inject into, read, checkpoint, restore or
+  // destroy it — the id is not even acknowledged to exist.
   EXPECT_EQ(error_code_of([&] { b.tick(s, 1); }), ErrorCode::kNoSuchSession);
+  EXPECT_EQ(error_code_of([&] { b.inject(s, {InputSpike{1, 0, 0}}); }),
+            ErrorCode::kNoSuchSession);
   std::vector<Spike> sink;
   EXPECT_EQ(error_code_of([&] { b.read_spikes(s, 1, sink); }), ErrorCode::kNoSuchSession);
   EXPECT_EQ(error_code_of([&] { b.checkpoint(s); }), ErrorCode::kNoSuchSession);
   EXPECT_EQ(error_code_of([&] { b.destroy(s); }), ErrorCode::kNoSuchSession);
   // The owner is unaffected by the attempts.
   EXPECT_EQ(a.tick(s, 5).now, 5);
+  // Not even with the owner's own blob can it roll the session back to t = 0.
+  EXPECT_EQ(error_code_of([&] { b.restore(s, blob); }), ErrorCode::kNoSuchSession);
+  EXPECT_EQ(a.tick(s, 1).now, 6);
   a.destroy(s);
 }
 

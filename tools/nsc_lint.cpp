@@ -57,13 +57,6 @@
 
 namespace {
 
-bool known_rule(const std::string& id) {
-  for (const nsc::analysis::RuleInfo& r : nsc::analysis::rule_catalog()) {
-    if (r.id == id) return true;
-  }
-  return false;
-}
-
 /// "NSC041" -> 41; -1 when the token is not an NSCxxx rule ID.
 int rule_number(const std::string& id) {
   if (id.size() != 6 || id.compare(0, 3, "NSC") != 0) return -1;
@@ -81,7 +74,7 @@ int rule_number(const std::string& id) {
 std::vector<std::string> parse_suppress(const std::string& spec) {
   std::vector<std::string> out;
   auto add = [&](const std::string& id) {
-    if (!known_rule(id)) {
+    if (nsc::analysis::find_rule(id) == nullptr) {
       std::fprintf(stderr, "warning: --suppress lists unknown rule ID '%s' (not in the catalog)\n",
                    id.c_str());
     }
@@ -110,7 +103,7 @@ std::vector<std::string> parse_suppress(const std::string& spec) {
       std::snprintf(id, sizeof id, "NSC%03d", n);
       // Ranges sweep catalog gaps (e.g. NSC015-NSC019 never existed), so
       // only IDs the catalog knows expand — no unknown-ID warning spam.
-      if (known_rule(id)) out.push_back(id);
+      if (nsc::analysis::find_rule(id) != nullptr) out.push_back(id);
     }
   }
   return out;

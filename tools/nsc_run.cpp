@@ -176,19 +176,15 @@ int main(int argc, char** argv) {
       // before any process forks (docs/ANALYSIS.md).
       const bool deployment_run =
           ranks > 1 || replicas > 1 || supervise || a.has("--rank-deadline-ms");
-      bool deployable = false;
-      if (deployment_run) {
-        nsc::analysis::DeploymentSpec spec;
-        spec.ranks = ranks;
-        spec.replicas = replicas;
-        spec.supervise = supervise;
-        spec.rank_deadline_ms = rank_deadline_ms;
-        spec.recovery_interval = recovery_interval;
-        deployable = nsc::analysis::lint_preflight(net, net_path, spec);
-      } else {
-        deployable = nsc::analysis::lint_preflight(net, net_path);
+      nsc::analysis::DeploymentSpec spec;
+      spec.ranks = ranks;
+      spec.replicas = replicas;
+      spec.supervise = supervise;
+      spec.rank_deadline_ms = rank_deadline_ms;
+      spec.recovery_interval = recovery_interval;
+      if (!nsc::analysis::lint_preflight(net, net_path, deployment_run ? &spec : nullptr)) {
+        return 1;
       }
-      if (!deployable) return 1;
     }
     const auto neurons = static_cast<std::uint64_t>(net.geom.neurons());
     std::printf("loaded %s: %d cores, %llu enabled neurons, %llu synapses\n", net_path.c_str(),
