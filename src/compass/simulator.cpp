@@ -236,7 +236,7 @@ void Simulator::dist_end_run(Tick nticks) {
 
 bool Simulator::fail_core(core::CoreId c) {
   const std::optional<std::uint64_t> pending =
-      state_.fail_core(c, inst_, [](std::size_t, const noc::RouteInfo&) {});
+      state_.fail_core(c, inst_, [](std::size_t, const noc::RouteInfo&, const auto&) {});
   if (!pending) return false;
   driver_.core_failed(c);  // Shard mode: remote cores have no local worklist.
   step_metrics_.core_failed(*pending);
@@ -244,7 +244,9 @@ bool Simulator::fail_core(core::CoreId c) {
 }
 
 bool Simulator::fail_link(int chip, int dir) {
-  if (!state_.fail_link(chip, dir, [](std::size_t, const noc::RouteInfo&) {})) return false;
+  if (!state_.fail_link(chip, dir, [](std::size_t, const noc::RouteInfo&, const auto&) {})) {
+    return false;
+  }
   step_metrics_.link_failed();
   return true;
 }

@@ -111,11 +111,13 @@ inline constexpr std::uint32_t kSaltThreshold = 0x101;
 }
 
 /// Threshold/fire/reset phase. `v` holds the post-leak potential on entry and
-/// the post-reset potential on exit. Returns true if the neuron fired.
+/// the post-reset potential on exit. Returns true if the neuron fired. The
+/// effective threshold α + jitter, the compare and the linear reset are
+/// int64: an 18-bit α plus a 31-bit mask exceeds int32.
 [[nodiscard]] inline bool threshold_fire_reset(std::int32_t& v, const NeuronParams& p,
                                                const util::CounterPrng& prng, std::uint32_t core,
                                                std::uint32_t neuron, Tick tick) noexcept {
-  std::int32_t alpha = p.threshold;
+  std::int64_t alpha = p.threshold;
   if (p.threshold_mask != 0 &&
       (v >= alpha || static_cast<std::int32_t>(p.threshold_mask) < 0)) {
     // Draw elision: when v < α and the mask has bit 31 clear, the jitter

@@ -69,22 +69,33 @@ bool dor_links_blocked(const Geometry& g, const LinkFaultSet& links, CoreId src,
 }
 
 RouteInfo route_with_faults(const Geometry& g, const FaultSet& faults, const LinkFaultSet& links,
-                            CoreId src, CoreId dst) {
+                            CoreId src, CoreId dst, std::vector<ChipLink>* detour) {
+  if (detour != nullptr) detour->clear();
   if (!dor_path_blocked(g, faults, src, dst) && !dor_links_blocked(g, links, src, dst)) {
     return route_dor(g, src, dst);
   }
 
-  // BFS shortest detour over healthy cores and live links, tracking the
-  // exact chip-boundary crossings of the discovered shortest path (among
-  // equal-hop paths, the first found in fixed E/W/S/N neighbor order).
+  // BFS shortest detour over healthy cores and live links, remembering the
+  // move that first reached each cell: the path walked back from dst is the
+  // discovered shortest path (among equal-hop paths, the first found in
+  // fixed E/W/S/N neighbor order).
   const int w = g.chips_x * g.cores_x;
   const int h = g.chips_y * g.cores_y;
   const auto ps = g.global_xy(src);
   const auto pd = g.global_xy(dst);
   std::vector<std::int32_t> dist(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), -1);
-  std::vector<std::int32_t> cross(dist.size(), 0);
+  std::vector<std::int8_t> move(dist.size(), -1);
   auto idx = [w](int x, int y) {
     return static_cast<std::size_t>(y) * static_cast<std::size_t>(w) + static_cast<std::size_t>(x);
+  };
+  constexpr int dx[4] = {1, -1, 0, 0};
+  constexpr int dy[4] = {0, 0, 1, -1};
+  // Link direction of each move when it crosses a chip boundary.
+  constexpr LinkDir dir[4] = {LinkDir::kEast, LinkDir::kWest, LinkDir::kSouth, LinkDir::kNorth};
+  // The chip a move out of (x, y) leaves, or -1 when it stays on the chip.
+  auto leaves = [&g](int x, int y, int nx, int ny) {
+    const bool boundary = (x / g.cores_x != nx / g.cores_x) || (y / g.cores_y != ny / g.cores_y);
+    return boundary ? (y / g.cores_y) * g.chips_x + (x / g.cores_x) : -1;
   };
   std::queue<std::pair<int, int>> q;
   dist[idx(ps.x, ps.y)] = 0;
@@ -94,23 +105,16 @@ RouteInfo route_with_faults(const Geometry& g, const FaultSet& faults, const Lin
     q.pop();
     if (x == pd.x && y == pd.y) break;
     const int d = dist[idx(x, y)];
-    constexpr int dx[4] = {1, -1, 0, 0};
-    constexpr int dy[4] = {0, 0, 1, -1};
-    // Link direction of each move when it crosses a chip boundary.
-    constexpr LinkDir dir[4] = {LinkDir::kEast, LinkDir::kWest, LinkDir::kSouth, LinkDir::kNorth};
     for (int k = 0; k < 4; ++k) {
       const int nx = x + dx[k], ny = y + dy[k];
       if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
       if (dist[idx(nx, ny)] != -1) continue;
-      const bool boundary = (x / g.cores_x != nx / g.cores_x) || (y / g.cores_y != ny / g.cores_y);
-      if (boundary) {
-        const int chip = (y / g.cores_y) * g.chips_x + (x / g.cores_x);
-        if (links.blocked(chip, static_cast<int>(dir[k]))) continue;
-      }
+      const int chip = leaves(x, y, nx, ny);
+      if (chip >= 0 && links.blocked(chip, static_cast<int>(dir[k]))) continue;
       const CoreId cid = g.core_at_global(nx, ny);
       if (faults.is_faulted(cid) && !(nx == pd.x && ny == pd.y)) continue;
       dist[idx(nx, ny)] = d + 1;
-      cross[idx(nx, ny)] = cross[idx(x, y)] + (boundary ? 1 : 0);
+      move[idx(nx, ny)] = static_cast<std::int8_t>(k);
       q.push({nx, ny});
     }
   }
@@ -121,7 +125,17 @@ RouteInfo route_with_faults(const Geometry& g, const FaultSet& faults, const Lin
     return r;
   }
   r.hops = d;
-  r.chip_crossings = cross[idx(pd.x, pd.y)];
+  std::vector<ChipLink> crossed;
+  for (int x = pd.x, y = pd.y; x != ps.x || y != ps.y;) {
+    const int k = move[idx(x, y)];
+    const int px = x - dx[k], py = y - dy[k];
+    const int chip = leaves(px, py, x, y);
+    if (chip >= 0) crossed.push_back({chip, dir[k]});
+    x = px;
+    y = py;
+  }
+  r.chip_crossings = static_cast<int>(crossed.size());
+  if (detour != nullptr) detour->assign(crossed.rbegin(), crossed.rend());
   return r;
 }
 

@@ -61,6 +61,13 @@ class FaultSet {
 /// Direction of a directed inter-chip link.
 enum class LinkDir : std::uint8_t { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3 };
 
+/// One directed merge–split link a packet crosses: the chip it leaves and
+/// the direction it leaves in.
+struct ChipLink {
+  int chip = 0;
+  LinkDir dir = LinkDir::kEast;
+};
+
 /// Set of failed directed inter-chip merge–split links. A link is identified
 /// by (chip, dir) with dir a LinkDir: 0=E (toward +x neighbor), 1=W, 2=N
 /// (toward -y), 3=S — the same indexing as noc::InterChipTraffic. Routing
@@ -139,10 +146,14 @@ bool for_each_dor_link(const core::Geometry& g, core::CoreId src, core::CoreId d
 /// to route_dor when the DOR path is clean; otherwise BFS over healthy cores
 /// and live links. Exact chip crossings are counted along the detour.
 /// Endpoint cores themselves must not be faulted (callers disable neurons on
-/// faulted cores, so no traffic originates or terminates there).
+/// faulted cores, so no traffic originates or terminates there). When
+/// `detour` is given it receives the merge–split links the BFS detour
+/// crosses, in path order; it is left empty when the route is the DOR route
+/// (whose links for_each_dor_link walks) or unreachable.
 [[nodiscard]] RouteInfo route_with_faults(const core::Geometry& g, const FaultSet& faults,
                                           const LinkFaultSet& links, core::CoreId src,
-                                          core::CoreId dst);
+                                          core::CoreId dst,
+                                          std::vector<ChipLink>* detour = nullptr);
 
 /// True if the straight DOR path from src to dst passes through a faulted
 /// intermediate core (endpoints excluded).

@@ -14,7 +14,7 @@ InterChipTraffic::InterChipTraffic(const Geometry& g)
       tick_counts_(static_cast<std::size_t>(chips_) * 4, 0),
       link_totals_(static_cast<std::size_t>(chips_) * 4, 0) {}
 
-void InterChipTraffic::bump(int chip, LinkDir dir) {
+void InterChipTraffic::record_link(int chip, LinkDir dir) {
   const std::size_t i = static_cast<std::size_t>(chip) * 4 + static_cast<std::size_t>(dir);
   ++tick_counts_[i];
   ++link_totals_[i];
@@ -24,7 +24,7 @@ void InterChipTraffic::bump(int chip, LinkDir dir) {
 void InterChipTraffic::record_route(CoreId src, CoreId dst) {
   if (chips_ <= 1 || src == dst) return;
   for_each_dor_link(geom_, src, dst, [this](int chip, LinkDir dir) {
-    bump(chip, dir);
+    record_link(chip, dir);
     return false;
   });
 }

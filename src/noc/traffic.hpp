@@ -24,6 +24,10 @@ class InterChipTraffic {
   /// current tick: one packet on each link for_each_dor_link visits.
   void record_route(core::CoreId src, core::CoreId dst);
 
+  /// Records one packet on one link for the current tick (a detour's links,
+  /// which route_with_faults reports).
+  void record_link(int chip, LinkDir dir);
+
   /// Closes the current tick: folds per-link counts into maxima/totals.
   void end_tick();
 
@@ -55,8 +59,6 @@ class InterChipTraffic {
                std::uint64_t max_per_tick);
 
  private:
-  void bump(int chip, LinkDir dir);
-
   core::Geometry geom_;
   int chips_;
   std::vector<std::uint32_t> tick_counts_;   ///< Per directed link, current tick.

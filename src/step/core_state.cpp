@@ -1,7 +1,9 @@
 #include "src/step/core_state.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 namespace nsc::step {
@@ -57,25 +59,66 @@ CoreState::CoreState(const core::Network& net)
       always_active(static_cast<std::size_t>(ncores), 0),
       target_ok(static_cast<std::size_t>(ncores) * kCoreSize, 0),
       target_faulted(static_cast<std::size_t>(ncores) * kCoreSize, 0),
-      hot_ok(static_cast<std::size_t>(ncores), 0),
-      hot(static_cast<std::size_t>(ncores) * core::kHotStride, 0),
-      wtab(static_cast<std::size_t>(ncores) * core::kWeightTabPerCore, 0),
-      fire(static_cast<std::size_t>(ncores) * kCoreSize, core::HotFire{}),
-      rowpop(static_cast<std::size_t>(ncores) * kCoreSize, 0) {
+      hot_(intern_hot_blocks(net)),
+      rowpop_(static_cast<std::size_t>(ncores) * kCoreSize, 0),
+      targets_(static_cast<std::size_t>(ncores) * kCoreSize) {
   derive_enabled();
   derive_targets();
   for (CoreId c = 0; c < ncores; ++c) {
+    if (hot_block(c) == nullptr) continue;
     const core::CoreSpec& spec = net.core(c);
-    if (faults.is_faulted(c) || !core::core_hot_eligible(spec, enabled_count[c])) continue;
-    hot_ok[c] = 1;
-    core::fill_hot_core(spec, &hot[static_cast<std::size_t>(c) * core::kHotStride],
-                        &wtab[static_cast<std::size_t>(c) * core::kWeightTabPerCore]);
-    core::fill_hot_fire(spec, &fire[static_cast<std::size_t>(c) * kCoreSize]);
     for (int i = 0; i < kCoreSize; ++i) {
-      rowpop[static_cast<std::size_t>(c) * kCoreSize + static_cast<std::size_t>(i)] =
-          static_cast<std::uint16_t>(spec.crossbar.row(i).count());
+      const std::size_t k = static_cast<std::size_t>(c) * kCoreSize + static_cast<std::size_t>(i);
+      rowpop_[k] = static_cast<std::uint16_t>(spec.crossbar.row(i).count());
+      targets_[k] = spec.neuron[i].target;
     }
   }
+}
+
+namespace {
+
+/// FNV-1a over the block's 64-bit words, finished with a full-avalanche mix:
+/// one pass, no allocation.
+std::uint64_t block_hash(const core::HotBlock& b) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(&b);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t i = 0; i < sizeof b; i += sizeof(std::uint64_t)) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes + i, sizeof w);
+    h = (h ^ w) * 0x100000001B3ULL;
+  }
+  return util::mix64(h);
+}
+
+}  // namespace
+
+HotTables intern_hot_blocks(const core::Network& net) {
+  const auto ncores = static_cast<std::size_t>(net.geom.total_cores());
+  HotTables t;
+  t.block_of.assign(ncores, HotTables::kNone);
+  std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
+  core::HotBlock b;
+  for (std::size_t c = 0; c < ncores; ++c) {
+    const core::CoreSpec& spec = net.cores[c];
+    if (spec.disabled) continue;
+    int enabled = 0;
+    for (const NeuronParams& p : spec.neuron) enabled += p.enabled != 0 ? 1 : 0;
+    if (!core::core_hot_eligible(spec, enabled)) continue;
+    core::fill_hot_block(spec, b);
+    const std::uint64_t h = block_hash(b);
+    const auto [lo, hi] = by_hash.equal_range(h);
+    const auto same = std::find_if(lo, hi, [&](const auto& e) {
+      return std::memcmp(&t.blocks[e.second], &b, sizeof b) == 0;
+    });
+    if (same != hi) {
+      t.block_of[c] = same->second;
+      continue;
+    }
+    t.block_of[c] = static_cast<std::uint32_t>(t.blocks.size());
+    by_hash.emplace(h, t.block_of[c]);
+    t.blocks.push_back(b);
+  }
+  return t;
 }
 
 void CoreState::derive_enabled() {
@@ -145,7 +188,7 @@ void CoreState::seed(Instance& inst, core::ActiveSet& active, CoreId begin, Core
     const std::int32_t* vrow = &inst.v[static_cast<std::size_t>(c) * kCoreSize];
     // A hand-edited snapshot with wild potentials demotes the core to the
     // exact generic loop, for this instance only.
-    inst.fast[c] = hot_ok[c] != 0 && core::hot_potentials_safe(vrow) ? 1 : 0;
+    inst.fast[c] = hot_block(c) != nullptr && core::hot_potentials_safe(vrow) ? 1 : 0;
     if (always_active[c] != 0 || core::core_restless_at(spec, enabled[c], vrow)) {
       active.set_restless(c, true);
     }

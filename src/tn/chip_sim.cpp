@@ -21,7 +21,7 @@ struct TrueNorthSimulator::Deliver {
     const noc::RouteInfo& r = sim.route_[nid];
     sim.stats_.hop_sum += static_cast<std::uint64_t>(r.hops);
     sim.stats_.interchip_crossings += static_cast<std::uint64_t>(r.chip_crossings);
-    if (multichip && r.chip_crossings > 0) sim.traffic_.record_route(c, tgt.core);
+    if (multichip && r.chip_crossings > 0) sim.record_crossings(c, nid, tgt.core);
   }
 };
 
@@ -56,19 +56,34 @@ TrueNorthSimulator::TrueNorthSimulator(const core::Network& net)
 
 void TrueNorthSimulator::derive_routes() {
   unreachable_targets_ = 0;
+  detours_.clear();
+  std::vector<noc::ChipLink> detour;
   for (CoreId c = 0; c < state_.ncores; ++c) {
     const core::CoreSpec& spec = net_.core(c);
     state_.enabled[c].for_each_set([&](int j) {
       const std::size_t nid = static_cast<std::size_t>(c) * kCoreSize + static_cast<std::size_t>(j);
       if (state_.target_ok[nid] == 0) return;
       const CoreId dst = spec.neuron[j].target.core;
-      route_[nid] = noc::route_with_faults(net_.geom, state_.faults, state_.link_faults, c, dst);
+      route_[nid] =
+          noc::route_with_faults(net_.geom, state_.faults, state_.link_faults, c, dst, &detour);
       if (!route_[nid].reachable) {
         ++unreachable_targets_;
         route_[nid] = noc::route_dor(net_.geom, c, dst);
+      } else if (!detour.empty()) {
+        detours_[nid] = detour;
       }
     });
   }
+}
+
+void TrueNorthSimulator::record_crossings(CoreId src, std::size_t nid, CoreId dst) {
+  if (!detours_.empty()) {
+    if (const auto it = detours_.find(nid); it != detours_.end()) {
+      for (const noc::ChipLink& l : it->second) traffic_.record_link(l.chip, l.dir);
+      return;
+    }
+  }
+  traffic_.record_route(src, dst);
 }
 
 void TrueNorthSimulator::run(Tick nticks, const core::InputSchedule* inputs,
@@ -81,16 +96,23 @@ void TrueNorthSimulator::run(Tick nticks, const core::InputSchedule* inputs,
   driver_.fold(step_metrics_, stats_);
 }
 
-void TrueNorthSimulator::reroute(std::size_t nid, const noc::RouteInfo& r) {
+void TrueNorthSimulator::reroute(std::size_t nid, const noc::RouteInfo& r,
+                                 const std::vector<noc::ChipLink>& detour) {
   if (r.hops > route_[nid].hops) {
     *ctr_rerouted_hops_ += static_cast<std::uint64_t>(r.hops - route_[nid].hops);
   }
   route_[nid] = r;
+  if (detour.empty()) {
+    detours_.erase(nid);
+  } else {
+    detours_[nid] = detour;
+  }
 }
 
 bool TrueNorthSimulator::fail_core(core::CoreId c) {
   const std::optional<std::uint64_t> pending = state_.fail_core(
-      c, inst_, [this](std::size_t nid, const noc::RouteInfo& r) { reroute(nid, r); });
+      c, inst_, [this](std::size_t nid, const noc::RouteInfo& r,
+                    const std::vector<noc::ChipLink>& detour) { reroute(nid, r, detour); });
   if (!pending) return false;
   driver_.core_failed(c);
   // In-flight deliveries to the dead core die with it — counted, not silent.
@@ -100,7 +122,8 @@ bool TrueNorthSimulator::fail_core(core::CoreId c) {
 
 bool TrueNorthSimulator::fail_link(int chip, int dir) {
   const bool failed = state_.fail_link(
-      chip, dir, [this](std::size_t nid, const noc::RouteInfo& r) { reroute(nid, r); });
+      chip, dir, [this](std::size_t nid, const noc::RouteInfo& r,
+                        const std::vector<noc::ChipLink>& detour) { reroute(nid, r, detour); });
   if (failed) step_metrics_.link_failed();
   return failed;
 }

@@ -15,6 +15,7 @@
 // the paper's power, GSOPS and GSOPS/W numbers.
 #pragma once
 
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/input_schedule.hpp"
@@ -105,7 +106,12 @@ class TrueNorthSimulator final : public core::Simulator {
 
   /// A surviving target's new route after a fault; detour growth is added
   /// to fault.rerouted_hops.
-  void reroute(std::size_t nid, const noc::RouteInfo& r);
+  void reroute(std::size_t nid, const noc::RouteInfo& r,
+               const std::vector<noc::ChipLink>& detour);
+
+  /// Counts one spike of neuron `nid` on the merge–split links its route
+  /// crosses: its detour's links when faults forced one, else the DOR walk.
+  void record_crossings(core::CoreId src, std::size_t nid, core::CoreId dst);
 
   const core::Network& net_;
   core::Tick now_ = 0;
@@ -124,6 +130,8 @@ class TrueNorthSimulator final : public core::Simulator {
   step::TickDriver driver_;
   /// Route of each neuron's (static) target: hops + crossings.
   std::vector<noc::RouteInfo> route_;
+  /// The links of every route that detours around faults, by neuron.
+  std::unordered_map<std::size_t, std::vector<noc::ChipLink>> detours_;
   std::uint64_t unreachable_targets_ = 0;
 };
 

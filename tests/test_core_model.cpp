@@ -359,5 +359,288 @@ TEST(NeuronHotProperty, SweepMatchesInt64ClampedOracle) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The decide/apply split of the hot neuron phase (hot_decide + hot_apply)
+// against the generic core::threshold_fire_reset and core::idle_quiescent,
+// lane for lane: the potential after the tick, which lanes fire (in
+// ascending order) and the restless bit over the flagged lanes.
+// ---------------------------------------------------------------------------
+
+const util::CounterPrng kHotPrng(0xDEC1DE);
+
+/// What one decide/apply run did differently from the generic path.
+struct SplitCheck {
+  int window = 0;         ///< Flagged lanes at or above α that did not fire.
+  int floor_changes = 0;  ///< Non-firing lanes whose potential changed.
+  int fired = 0;
+  bool restless = false;
+};
+
+/// Runs both passes over `v0` with flags `bad` and expects every lane to
+/// match the generic functions; unflagged lanes must be left alone.
+SplitCheck check_split(const CoreSpec& spec, const std::array<std::int32_t, kCoreSize>& v0,
+                       const std::uint64_t bad[4], std::uint32_t core, Tick tick) {
+  EXPECT_TRUE(core_hot_eligible(spec, kCoreSize));
+  HotBlock b;
+  fill_hot_block(spec, b);
+  auto v = v0;
+  HotDecision d;
+  hot_decide(v.data(), b, bad, kHotPrng, core, tick, d);
+  std::vector<int> emitted;
+  SplitCheck out;
+  out.restless = hot_apply(v.data(), b, d, [&](int j) { emitted.push_back(j); });
+  std::vector<int> want_emitted;
+  bool want_restless = false;
+  for (int j = 0; j < kCoreSize; ++j) {
+    const auto u = static_cast<std::size_t>(j);
+    if (((bad[j / 64] >> (j % 64)) & 1U) == 0) {
+      EXPECT_EQ(v[u], v0[u]) << "unflagged lane " << j;
+      continue;
+    }
+    const NeuronParams& p = spec.neuron[u];
+    std::int32_t want = v0[u];
+    const bool fired =
+        threshold_fire_reset(want, p, kHotPrng, core, static_cast<std::uint32_t>(j), tick);
+    EXPECT_EQ(v[u], want) << "lane " << j << " v0 " << v0[u] << " tick " << tick;
+    if (fired) want_emitted.push_back(j);
+    if (!fired && v0[u] >= p.threshold) ++out.window;
+    if (!fired && want != v0[u]) ++out.floor_changes;
+    want_restless = want_restless || !idle_quiescent(p, want);
+  }
+  EXPECT_EQ(emitted, want_emitted);
+  EXPECT_EQ(out.restless, want_restless);
+  out.fired = static_cast<int>(want_emitted.size());
+  return out;
+}
+
+constexpr std::uint64_t kAllLanes[4] = {~0ULL, ~0ULL, ~0ULL, ~0ULL};
+
+/// A hot-eligible core with every neuron's constants drawn from `rng`:
+/// all reset and negative modes, masks from 0 to 2^31 - 1, thresholds and
+/// floors across their ranges.
+CoreSpec random_hot_core(util::Xoshiro& rng) {
+  CoreSpec spec;
+  for (NeuronParams& p : spec.neuron) {
+    p.leak = static_cast<std::int16_t>(static_cast<int>(rng.next_below(2)) == 0
+                                           ? 0
+                                           : static_cast<int>(rng.next_below(511)) - 255);
+    p.threshold = static_cast<std::int32_t>(rng.next_below(kThresholdMax + 1));
+    p.neg_threshold = static_cast<std::int32_t>(rng.next_below(1 << 19));
+    p.reset_v = static_cast<std::int32_t>(rng.next_below(1 << 20)) + kPotentialMin;
+    const int bits = static_cast<int>(rng.next_below(32));  // 0..31 mask bits
+    p.threshold_mask = bits == 0 ? 0U : (0xFFFFFFFFU >> (32 - bits)) & 0x7FFFFFFFU;
+    p.reset_mode = static_cast<ResetMode>(rng.next_below(3));
+    p.negative_mode = static_cast<NegativeMode>(rng.next_below(2));
+  }
+  return spec;
+}
+
+TEST(HotDecideApply, RandomLanesMatchGenericPath) {
+  util::Xoshiro rng(777);
+  SplitCheck total;
+  for (int round = 0; round < 24; ++round) {
+    const CoreSpec spec = random_hot_core(rng);
+    std::array<std::int32_t, kCoreSize> v0{};
+    for (int j = 0; j < kCoreSize; ++j) {
+      const NeuronParams& p = spec.neuron[static_cast<std::size_t>(j)];
+      // Half the lanes sit near their own threshold or floor, the rest
+      // anywhere in the clamped range (the sweep's output range).
+      const auto spread = static_cast<std::int32_t>(rng.next_below(64)) - 32;
+      std::int64_t x = 0;
+      switch (rng.next_below(4)) {
+        case 0: x = std::int64_t{p.threshold} + spread; break;
+        case 1: x = -std::int64_t{p.neg_threshold} + spread; break;
+        case 2: x = -std::int64_t{p.reset_v}; break;
+        default: x = static_cast<std::int64_t>(rng.next_below(1 << 20)) + kPotentialMin; break;
+      }
+      v0[static_cast<std::size_t>(j)] = clamp_potential(x);
+    }
+    const SplitCheck c = check_split(spec, v0, kAllLanes, 3, round);
+    total.window += c.window;
+    total.floor_changes += c.floor_changes;
+    total.fired += c.fired;
+  }
+  // The draw covers every outcome the generic path has.
+  EXPECT_GT(total.fired, 0);
+  EXPECT_GT(total.window, 0);
+  EXPECT_GT(total.floor_changes, 0);
+}
+
+TEST(HotDecideApply, SparseFlagsLeaveOtherLanesAlone) {
+  util::Xoshiro rng(4321);
+  const CoreSpec spec = random_hot_core(rng);
+  std::array<std::int32_t, kCoreSize> v0{};
+  for (auto& x : v0) x = static_cast<std::int32_t>(rng.next_below(1 << 20)) + kPotentialMin;
+  for (const std::uint64_t pattern : {0ULL, 1ULL, 1ULL << 63, 0x8000000100000001ULL}) {
+    const std::uint64_t bad[4] = {pattern, ~pattern, pattern & rng.next(), rng.next()};
+    check_split(spec, v0, bad, 11, 5);
+  }
+}
+
+TEST(HotDecideApply, MaskZeroNeverDrawsAnOutcome) {
+  CoreSpec spec;
+  std::array<std::int32_t, kCoreSize> v0{};
+  for (int j = 0; j < kCoreSize; ++j) {
+    NeuronParams& p = spec.neuron[static_cast<std::size_t>(j)];
+    p.threshold = 100;
+    p.threshold_mask = 0;
+    p.reset_mode = static_cast<ResetMode>(j % 3);
+    v0[static_cast<std::size_t>(j)] = j % 2 == 0 ? 100 + j % 7 : 99 - j % 7;  // both sides of α
+  }
+  for (Tick t = 0; t < 8; ++t) {
+    const SplitCheck c = check_split(spec, v0, kAllLanes, 0, t);
+    EXPECT_EQ(c.fired, 256 / 2);  // exactly the lanes at or above α
+    EXPECT_EQ(c.window, 0);
+  }
+}
+
+TEST(HotDecideApply, ThresholdAtTheClampEdges) {
+  // α at the top of the potential range (a lane fires only at the clamp),
+  // one past it (never fires without jitter), and kThresholdMax with the
+  // widest eligible mask, where α + jitter passes INT32_MAX.
+  for (const std::int32_t alpha : {kPotentialMax, kPotentialMax + 1, kThresholdMax, 1}) {
+    for (const std::uint32_t mask : {0U, 1U, 0xFFFFU, 0x7FFFFFFFU}) {
+      CoreSpec spec;
+      std::array<std::int32_t, kCoreSize> v0{};
+      for (int j = 0; j < kCoreSize; ++j) {
+        NeuronParams& p = spec.neuron[static_cast<std::size_t>(j)];
+        p.threshold = alpha;
+        p.threshold_mask = mask;
+        p.reset_mode = static_cast<ResetMode>(j % 3);
+        v0[static_cast<std::size_t>(j)] = j % 2 == 0 ? kPotentialMax : kPotentialMin;
+      }
+      for (Tick t = 0; t < 4; ++t) check_split(spec, v0, kAllLanes, 7, t);
+    }
+  }
+}
+
+TEST(HotDecideApply, JitterWindowLanesKeepTheirPotential) {
+  // Fig. 5 shape: α = 64, mask 31, every lane inside [α, α + 31]. Lanes the
+  // draw does not fire change nothing but stay restless (v >= α).
+  CoreSpec spec;
+  std::array<std::int32_t, kCoreSize> v0{};
+  for (int j = 0; j < kCoreSize; ++j) {
+    NeuronParams& p = spec.neuron[static_cast<std::size_t>(j)];
+    p.threshold = 64;
+    p.threshold_mask = 31;
+    p.reset_mode = ResetMode::kLinear;
+    v0[static_cast<std::size_t>(j)] = 64 + j % 31;
+  }
+  int window = 0;
+  for (Tick t = 0; t < 16; ++t) {
+    const SplitCheck c = check_split(spec, v0, kAllLanes, 2, t);
+    window += c.window;
+    if (c.window > 0) {
+      EXPECT_TRUE(c.restless);
+    }
+  }
+  EXPECT_GT(window, 16 * 256 / 4);
+}
+
+TEST(HotDecideApply, SymmetricResetFloorChangesANonFiringLane) {
+  // kReset acts at or below -β and writes -R: the one non-firing lane kind
+  // whose state changes. -R itself is the quiescent fixed point.
+  CoreSpec spec;
+  std::array<std::int32_t, kCoreSize> v0{};
+  for (int j = 0; j < kCoreSize; ++j) {
+    NeuronParams& p = spec.neuron[static_cast<std::size_t>(j)];
+    p.threshold = 10;
+    p.neg_threshold = 50;
+    p.reset_v = j % 4 == 0 ? 50 : 7;
+    p.negative_mode = j % 8 < 4 ? NegativeMode::kReset : NegativeMode::kSaturate;
+    v0[static_cast<std::size_t>(j)] = -48 - j % 5;  // -48 .. -52, across the floor
+  }
+  const SplitCheck c = check_split(spec, v0, kAllLanes, 1, 0);
+  EXPECT_GT(c.floor_changes, 0);
+  EXPECT_EQ(c.fired, 0);
+}
+
+TEST(HotDecideApply, EveryResetModeAndLeakZeroRestlessTracking) {
+  // A leak-0 core: restless tracking runs (the core is not always active),
+  // so the restless bit must be exact. Absolute reset to 0 leaves a fired
+  // lane quiescent; none-reset keeps it at or above α, restless. A nonzero
+  // leak is never quiescent.
+  for (const ResetMode mode : {ResetMode::kAbsolute, ResetMode::kLinear, ResetMode::kNone}) {
+    for (const std::int32_t overshoot : {0, 5, 200}) {
+      for (const std::int16_t leak : {0, 1}) {
+        CoreSpec spec;
+        std::array<std::int32_t, kCoreSize> v0{};
+        for (int j = 0; j < kCoreSize; ++j) {
+          NeuronParams& p = spec.neuron[static_cast<std::size_t>(j)];
+          p.leak = leak;
+          p.threshold = 100;
+          p.reset_mode = mode;
+          p.reset_v = 0;
+          v0[static_cast<std::size_t>(j)] = j == 17 ? 100 + overshoot : 3;
+        }
+        const std::uint64_t bad[4] = {1ULL << 17, 0, 0, 0};
+        const SplitCheck c = check_split(spec, v0, bad, 9, 0);
+        EXPECT_EQ(c.fired, 1);
+        const bool stays_above =
+            mode == ResetMode::kNone || (mode == ResetMode::kLinear && overshoot >= 100);
+        EXPECT_EQ(c.restless, stays_above || leak != 0);
+      }
+    }
+  }
+}
+
+TEST(HotDecideApply, HeldLanesCarryTheirOwnRestlessness) {
+  // Flagged lanes that neither fire nor meet the floor keep their potential;
+  // they alone decide the restless bit: quiescent below α with leak 0, not
+  // with a leak, and not at or above α (a jitter-window lane).
+  for (const std::int16_t leak : {0, 1}) {
+    for (const std::int32_t v : {50, 100}) {
+      CoreSpec spec;
+      for (NeuronParams& p : spec.neuron) {
+        p.leak = leak;
+        p.threshold = 100;
+        p.threshold_mask = 0x3FFFFFFF;  // a lane at α fires with odds 2^-30
+      }
+      std::array<std::int32_t, kCoreSize> v0{};
+      v0.fill(v);
+      const std::uint64_t bad[4] = {0, 1ULL << 5, 0, 0};
+      const SplitCheck c = check_split(spec, v0, bad, 6, 3);
+      EXPECT_EQ(c.fired, 0);
+      EXPECT_EQ(c.restless, leak != 0 || v >= 100) << "leak " << leak << " v " << v;
+    }
+  }
+}
+
+TEST(HotDecideApply, SweepFlagsFeedDecideExactly) {
+  // End to end on one core: the sweep's own flags, then both passes,
+  // against leak_threshold_update on every lane.
+  util::Xoshiro rng(99);
+  for (int round = 0; round < 8; ++round) {
+    const CoreSpec spec = random_hot_core(rng);
+    HotBlock b;
+    fill_hot_block(spec, b);
+    std::array<std::int32_t, kCoreSize> v{}, acc{};
+    for (auto& x : v) x = static_cast<std::int32_t>(rng.next_below(1 << 20)) + kPotentialMin;
+    for (auto& x : acc) x = static_cast<std::int32_t>(rng.next_below(2048)) - 1024;
+    auto want = v;
+    std::array<std::uint8_t, kCoreSize> bytes{};
+    hot_neuron_sweep(v.data(), acc.data(), b.hot, bytes.data());
+    std::uint64_t bad[4] = {0, 0, 0, 0};
+    for (int j = 0; j < kCoreSize; ++j) {
+      if (bytes[static_cast<std::size_t>(j)] != 0) bad[j / 64] |= 1ULL << (j % 64);
+    }
+    HotDecision d;
+    hot_decide(v.data(), b, bad, kHotPrng, 4, round, d);
+    std::vector<int> emitted;
+    (void)hot_apply(v.data(), b, d, [&](int j) { emitted.push_back(j); });
+    std::vector<int> want_emitted;
+    for (int j = 0; j < kCoreSize; ++j) {
+      const auto u = static_cast<std::size_t>(j);
+      std::int32_t x = clamp_potential(std::int64_t{want[u]} + acc[u]);
+      if (leak_threshold_update(x, spec.neuron[u], kHotPrng, 4, static_cast<std::uint32_t>(j),
+                                round)) {
+        want_emitted.push_back(j);
+      }
+      EXPECT_EQ(v[u], x) << "lane " << j;
+    }
+    EXPECT_EQ(emitted, want_emitted);
+  }
+}
+
 }  // namespace
 }  // namespace nsc::core

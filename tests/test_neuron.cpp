@@ -131,6 +131,26 @@ TEST(NeuronModel, StochasticThresholdRaisesEffectiveAlpha) {
   EXPECT_NEAR(static_cast<double>(fired) / n, 0.5, 0.02);
 }
 
+TEST(NeuronModel, JitterPastInt32MaxDoesNotOverflow) {
+  // α = kThresholdMax with the widest unsigned mask: some draws put
+  // α + jitter past INT32_MAX. The sum, the compare and the linear reset are
+  // int64, so the lane simply does not fire (UBSan-clean).
+  NeuronParams p = basic();
+  p.threshold = kThresholdMax;
+  p.threshold_mask = 0x7FFFFFFF;
+  p.reset_mode = ResetMode::kLinear;
+  const std::uint32_t past = static_cast<std::uint32_t>(INT32_MAX - kThresholdMax);
+  Tick t = 0;
+  while ((static_cast<std::uint32_t>(kPrng.draw(0, 0, static_cast<std::uint64_t>(t),
+                                                kSaltThreshold)) &
+          p.threshold_mask) <= past) {
+    ++t;
+  }
+  std::int32_t v = kPotentialMax;
+  EXPECT_FALSE(threshold_fire_reset(v, p, kPrng, 0, 0, t));
+  EXPECT_EQ(v, kPotentialMax);
+}
+
 TEST(NeuronModel, ClampPotentialRange) {
   EXPECT_EQ(clamp_potential(static_cast<std::int64_t>(kPotentialMax) + 100), kPotentialMax);
   EXPECT_EQ(clamp_potential(static_cast<std::int64_t>(kPotentialMin) - 100), kPotentialMin);

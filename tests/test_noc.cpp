@@ -127,6 +127,32 @@ TEST(RouteWithFaults, DetourAroundPartialWall) {
   EXPECT_EQ(r.hops, 4 + 8);  // down to row 4 and back up
 }
 
+TEST(RouteWithFaults, ReportsTheDetourLinks) {
+  // 2×2 chips of 2×2 cores, chip 0's east link dead: the detour from chip
+  // 0's east edge to chip 1's west edge leaves chip 0 south, chip 2 east and
+  // chip 3 north. A clean DOR route reports no detour.
+  const Geometry g{2, 2, 2, 2};
+  const CoreId a = g.core_at(0, 1, 0), b = g.core_at(1, 0, 0);
+  LinkFaultSet dead(g.chips());
+  dead.mark(0, static_cast<int>(LinkDir::kEast));
+  std::vector<ChipLink> detour = {{9, LinkDir::kWest}};
+  const RouteInfo clean = route_with_faults(g, FaultSet(g.total_cores()), LinkFaultSet(g.chips()),
+                                            a, b, &detour);
+  EXPECT_EQ(clean.chip_crossings, 1);
+  EXPECT_TRUE(detour.empty());
+  const RouteInfo r = route_with_faults(g, FaultSet(g.total_cores()), dead, a, b, &detour);
+  ASSERT_TRUE(r.reachable);
+  EXPECT_EQ(r.hops, 5);
+  EXPECT_EQ(r.chip_crossings, 3);
+  ASSERT_EQ(detour.size(), 3u);
+  EXPECT_EQ(detour[0].chip, 0);
+  EXPECT_EQ(detour[0].dir, LinkDir::kSouth);
+  EXPECT_EQ(detour[1].chip, 2);
+  EXPECT_EQ(detour[1].dir, LinkDir::kEast);
+  EXPECT_EQ(detour[2].chip, 3);
+  EXPECT_EQ(detour[2].dir, LinkDir::kNorth);
+}
+
 TEST(InterChipTrafficTest, CountsPerLinkAndMax) {
   const Geometry g{2, 2, 2, 2};
   InterChipTraffic traffic(g);

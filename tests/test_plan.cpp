@@ -17,6 +17,7 @@
 #include "src/core/snapshot.hpp"
 #include "src/dist/coordinator.hpp"
 #include "src/obs/json.hpp"
+#include "src/step/core_state.hpp"
 #include "tests/test_support.hpp"
 
 // Rank processes are forked from the test binary; under TSan the default
@@ -217,6 +218,23 @@ TEST(PlanRule, NSC046ReplicaFootprintOverBudget) {
   EXPECT_TRUE(report.has_rule("NSC046"));
   spec.replica_memory_budget = analysis::kDefaultReplicaMemoryBudgetBytes;
   EXPECT_FALSE(lint_with(net, spec).has_rule("NSC046"));
+}
+
+TEST(Plan, ReplicaFootprintCountsInternedBlocks) {
+  // The ring's four cores hold equal constants: one interned block. A core
+  // with its own threshold adds exactly one block; a core off the hot path
+  // adds none.
+  const Network shared = make_ring();
+  Network unique = make_ring();
+  for (core::NeuronParams& p : unique.core(1).neuron) p.threshold = 101;
+  Network generic = make_ring();
+  for (core::NeuronParams& p : generic.core(1).neuron) p.stochastic_leak = 1;
+  const auto bytes = [](const Network& net) {
+    return analysis::plan_deployment(net, DeploymentSpec{}).replica.shared_bytes;
+  };
+  EXPECT_EQ(step::intern_hot_blocks(shared).blocks.size(), 1u);
+  EXPECT_EQ(bytes(unique), bytes(shared) + sizeof(core::HotBlock));
+  EXPECT_EQ(bytes(generic), bytes(shared));
 }
 
 TEST(PlanRule, NSC047RecommendsDifferentRankCount) {

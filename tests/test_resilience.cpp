@@ -518,6 +518,45 @@ TEST(FaultCampaign, LinkFailureReroutesOrDrops) {
             counter_value(tn_sim.metrics(), "fault.spikes_dropped"));
 }
 
+TEST(FaultCampaign, DetourTrafficCountsTheLinksItCrosses) {
+  // 2×2 chips of 2×2 cores. Neuron 0 of chip 0's east-edge core fires into
+  // chip 1's west-edge core every tick. With the east link dead the packet
+  // detours south, east and north: 5 hops, 3 crossings, none on the dead
+  // link, and the link totals must say the same as the crossing counter.
+  const Geometry g{2, 2, 2, 2};
+  Network net(g, 7);
+  const core::CoreId src = g.core_at(0, 1, 0);
+  const core::CoreId dst = g.core_at(1, 0, 0);
+  core::NeuronParams& p = net.core(src).neuron[0];
+  p.leak = 1;
+  p.threshold = 1;
+  p.target = {dst, 0, 1};
+  tn::TrueNorthSimulator sim(net);
+  sim.run(5, nullptr, nullptr);
+  EXPECT_EQ(sim.stats().interchip_crossings, 5u);
+  EXPECT_EQ(sim.traffic().total_crossings(), 5u);
+  const std::uint64_t dead_before = sim.traffic().link_total(0, noc::LinkDir::kEast);
+  ASSERT_TRUE(sim.fail_link(0, static_cast<int>(noc::LinkDir::kEast)));
+  sim.run(10, nullptr, nullptr);
+  EXPECT_EQ(sim.stats().interchip_crossings, 5u + 30u);
+  EXPECT_EQ(sim.stats().hop_sum, 5u + 50u);
+  EXPECT_EQ(sim.traffic().total_crossings(), 5u + 30u);
+  EXPECT_EQ(sim.traffic().link_total(0, noc::LinkDir::kEast), dead_before);
+  EXPECT_EQ(sim.traffic().link_total(0, noc::LinkDir::kSouth), 10u);
+  EXPECT_EQ(sim.traffic().link_total(2, noc::LinkDir::kEast), 10u);
+  EXPECT_EQ(sim.traffic().link_total(3, noc::LinkDir::kNorth), 10u);
+
+  // A restore re-derives the detour from the checkpoint's dead link.
+  std::stringstream ckpt;
+  sim.save_checkpoint(ckpt);
+  tn::TrueNorthSimulator resumed(net);
+  resumed.load_checkpoint(ckpt);
+  sim.run(10, nullptr, nullptr);
+  resumed.run(10, nullptr, nullptr);
+  EXPECT_EQ(resumed.traffic().link_totals(), sim.traffic().link_totals());
+  EXPECT_EQ(resumed.traffic().total_crossings(), 5u + 60u);
+}
+
 TEST(FaultCampaign, CheckpointMidCampaignResumesExactly) {
   // Checkpoint between two fault events; the resumed run (same campaign —
   // already-applied events are skipped by tick) matches the uninterrupted
